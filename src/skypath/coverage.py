@@ -1,7 +1,9 @@
-"""Per-station coverage: SNR model, LoS classification, sectorized coverage maps.
+"""Per-station coverage: SNR model, LoS classification, wedge coverage maps.
 
 A station's coverage at the flight altitude is approximated by a union of
-convex circular sectors around the station's plan-view projection. Along a
+convex circular wedges around the station's plan-view projection, held by
+``CoverageMap`` as sorted arrays of start azimuths, end azimuths and radii;
+``CircularSector`` objects are built from them only for export. Along a
 fixed azimuth, blocking is monotone: once a roof blocks the station-to-ring
 segment at radius r, it blocks at every larger radius, because the segment's
 altitude above that roof only decreases as the ring point moves out. The
@@ -13,7 +15,7 @@ closed form
 where r_los / r_nlos are the LoS / NLoS disk radii and the first blocking
 radius of one building is (entry distance) * (h - h_g) / (roof - h_g).
 
-Sector radii are certified per azimuth cell: the infimum of R over the whole
+Wedge radii are certified per azimuth cell: the infimum of R over the whole
 cell is computed exactly (entry distances at cell edges plus corner and
 perpendicular-foot critical azimuths), then shaved by a small safety margin,
 so every claimed point holds SNR >= threshold with a strictly positive margin.
@@ -39,7 +41,6 @@ from .geometry import (
     CircularSector,
     Point3,
     point_sector_distance,
-    points_in_sectors,
     ray_rect_entry,
     segments_clear_buildings,
 )
@@ -97,8 +98,7 @@ def coverage_disk_radius_sq(params: RadioParams, state: LinkState) -> float:
     return max(0.0, term - dz2)
 
 
-def _crop_buildings(arrs: BuildingArrays, x_lo, x_hi, y_lo, y_hi) -> BuildingArrays:
-    keep = (arrs.x1 >= x_lo) & (arrs.x0 <= x_hi) & (arrs.y1 >= y_lo) & (arrs.y0 <= y_hi)
+def _crop_mask(arrs: BuildingArrays, keep: np.ndarray) -> BuildingArrays:
     out = BuildingArrays.__new__(BuildingArrays)
     out.x0, out.x1 = arrs.x0[keep], arrs.x1[keep]
     out.y0, out.y1 = arrs.y0[keep], arrs.y1[keep]
@@ -116,8 +116,9 @@ def snr_per_station(points_xy: np.ndarray, bs: BaseStation, params: RadioParams,
     p1 = np.array([bx, by, params.bs_height])
     lo = np.minimum(xy.min(axis=0), [bx, by])
     hi = np.maximum(xy.max(axis=0), [bx, by])
-    arrs = _crop_buildings(city.building_arrays(), lo[0], hi[0], lo[1], hi[1])
-    los = segments_clear_buildings(p0, p1, arrs)
+    arrs = city.building_arrays()
+    box = (arrs.x1 >= lo[0]) & (arrs.x0 <= hi[0]) & (arrs.y1 >= lo[1]) & (arrs.y0 <= hi[1])
+    los = segments_clear_buildings(p0, p1, _crop_mask(arrs, box))
     d = np.sqrt(
         (xy[:, 0] - bx) ** 2
         + (xy[:, 1] - by) ** 2
@@ -257,12 +258,36 @@ def network_covered(points_xy: np.ndarray, scenario: Scenario) -> np.ndarray:
 
 @dataclass(eq=False)
 class CoverageMap:
-    """Ordered convex sectors around one station plus its discretized border."""
+    """One station's coverage as wedges around its projection, plus its border.
+
+    Wedge i spans the azimuths [starts[i], ends[i]] out to radius radii[i].
+    The wedges are sorted and disjoint: each starts where the one before it
+    ends or later, up to 1e-12 rad of rounding. None wraps past 2*pi, and
+    each spans at most pi, so each is convex.
+    """
 
     bs_id: int
     center: tuple[float, float]
-    sectors: tuple[CircularSector, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    radii: np.ndarray
     border_points: np.ndarray  # (Q, 2)
+
+    def __post_init__(self) -> None:
+        self.starts = np.asarray(self.starts, dtype=float)
+        self.ends = np.asarray(self.ends, dtype=float)
+        self.radii = np.asarray(self.radii, dtype=float)
+        if not (self.starts.ndim == 1 and self.starts.shape == self.ends.shape == self.radii.shape):
+            raise ValueError("wedge starts, ends and radii must be 1-D arrays of one length")
+        span = self.ends - self.starts
+        for ok, what in (
+            ((span > 0.0) & (span <= math.pi + 1e-12), "wedge spans must lie in (0, pi]"),
+            ((self.starts >= 0.0) & (self.ends <= TWO_PI), "wedges must lie in [0, 2*pi]"),
+            (self.radii >= 0.0, "wedge radii must be non-negative"),
+            (self.starts[1:] >= self.ends[:-1] - 1e-12, "wedges must be sorted and disjoint"),
+        ):
+            if not ok.all():
+                raise ValueError(f"{what} (station {self.bs_id})")
 
     @property
     def border_count(self) -> int:
@@ -270,62 +295,49 @@ class CoverageMap:
 
     @property
     def is_empty(self) -> bool:
-        return len(self.sectors) == 0
+        return self.radii.size == 0
 
     @cached_property
-    def _sector_arrays(self):
-        starts = np.array([s.theta_start for s in self.sectors], dtype=float)
-        spans = np.array([s.span for s in self.sectors], dtype=float)
-        radii = np.array([s.radius for s in self.sectors], dtype=float)
-        return starts, spans, radii
-
-    @cached_property
-    def _azimuth_sorted(self) -> bool:
-        starts, spans, _ = self._sector_arrays
-        ends = starts + spans
-        return bool(
-            (np.diff(starts) > 0.0).all() and (starts[1:] >= ends[:-1] - 1e-12).all()
+    def sectors(self) -> tuple[CircularSector, ...]:
+        """The wedges as ``CircularSector`` objects, for export and tests."""
+        return tuple(
+            CircularSector(self.center, s, e, r)
+            for s, e, r in zip(self.starts.tolist(), self.ends.tolist(), self.radii.tolist())
         )
 
     @cached_property
     def radius_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sector union as a step function R(theta), by its jumps.
+        """The wedge union as a step function R(theta), by its jumps.
 
-        The union of wedges around one apex is {r <= R(theta)}, with R the
-        largest radius of the sectors spanning theta and 0 in azimuth gaps.
-        Returns the sorted angles in [0, 2*pi) where R changes, and R just
-        before and just after each of them.
+        The union is {r <= R(theta)}, with R a wedge's radius across its span
+        and 0 in the gaps between wedges. Returns the sorted angles in
+        [0, 2*pi) where R changes, and R just before and just after each of
+        them. Where a wedge starts within 1e-12 rad of the end of the one
+        before, the two edges are one angle, the smaller of the two.
         """
         if self.is_empty:
             return np.empty(0), np.empty(0), np.empty(0)
-        starts, spans, radii = self._sector_arrays
-        cuts = np.sort(np.concatenate([starts, starts + spans]) % TWO_PI)
-        # a shared edge may come out a few ulps apart from its two sectors
-        cuts = cuts[np.diff(cuts, prepend=-np.inf) > 1e-12]
-        if cuts.size > 1 and cuts[-1] > cuts[0] + TWO_PI - 1e-12:
-            cuts = cuts[:-1]
-
-        def cut_index(angle):
-            x = angle % TWO_PI
-            x = np.where(x > cuts[0] + TWO_PI - 1e-12, x - TWO_PI, x)
-            return np.searchsorted(cuts, x + 1e-12, side="right") - 1
-
-        # piece i runs from cuts[i] to the next cut; each sector spans a run
-        first = cut_index(starts)
-        count = (cut_index(starts + spans) - first) % cuts.size
-        owner = np.repeat(np.arange(starts.size), count)
-        local = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-        piece = np.zeros(cuts.size)
-        np.maximum.at(piece, (first[owner] + local) % cuts.size, radii[owner])
+        starts, ends, radii = self.starts, self.ends, self.radii
+        # joined[i]: wedge i + 1 starts where wedge i ends, up to rounding
+        joined = np.append(starts[1:] - ends[:-1], starts[0] + TWO_PI - ends[-1]) <= 1e-12
+        first = np.where(np.roll(joined, 1), np.minimum(starts, np.roll(ends, 1) % TWO_PI), starts)
+        # pieces of R: each wedge, then the gap after it where there is one
+        angles = np.column_stack([first, ends]).ravel()
+        piece = np.column_stack([radii, np.zeros_like(radii)]).ravel()
+        keep = np.column_stack([np.ones_like(joined), ~joined]).ravel()
+        angles, piece = angles[keep], piece[keep]
+        # a gap after a wedge ending at 2*pi starts at angle 0: it goes first
+        wrap = int(angles[-1] >= TWO_PI)
+        angles, piece = np.roll(angles % TWO_PI, wrap), np.roll(piece, wrap)
         before = np.roll(piece, 1)
         jump = piece != before
-        return cuts[jump], before[jump], piece[jump]
+        return angles[jump], before[jump], piece[jump]
 
     @property
     def max_radius(self) -> float:
         if self.is_empty:
             return 0.0
-        return float(self._sector_arrays[2].max())
+        return float(self.radii.max())
 
 
 @dataclass(eq=False)
@@ -337,15 +349,15 @@ class CommonBorder:
 
 
 def points_in_coverage(points_xy: np.ndarray, cov: CoverageMap) -> np.ndarray:
+    """Membership of points (n, 2) in the map, with the slack of ``points_in_sectors``.
+
+    The wedges are sorted and disjoint, so only the wedge bracketing a point's
+    azimuth and its two neighbours (for the slack and the 2*pi wrap) can hold it.
+    """
     xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
     if cov.is_empty:
         return np.zeros(xy.shape[0], dtype=bool)
-    starts, spans, radii = cov._sector_arrays
-    if not cov._azimuth_sorted or len(cov.sectors) < 4:
-        return points_in_sectors(xy, cov.center, starts, spans, radii)
-    # Sectors are azimuth-sorted and disjoint: only the sector bracketing the
-    # point's azimuth (plus its two neighbors, for the boundary tolerance and
-    # the 2*pi wrap) can contain it.
+    starts, spans, radii = cov.starts, cov.ends - cov.starts, cov.radii
     dx = xy[:, 0] - cov.center[0]
     dy = xy[:, 1] - cov.center[1]
     r = np.hypot(dx, dy)
@@ -353,10 +365,9 @@ def points_in_coverage(points_xy: np.ndarray, cov: CoverageMap) -> np.ndarray:
     az = np.where(az < 0.0, az + TWO_PI, az)
     ang_tol = GEOM_EPS / np.maximum(r, GEOM_EPS)
     idx = np.searchsorted(starts, az, side="right") - 1
-    m = starts.size
     inside = (r <= GEOM_EPS) & bool((radii > 0.0).any())
     for off in (-1, 0, 1):
-        j = (idx + off) % m
+        j = (idx + off) % starts.size
         delta = (az - starts[j]) % TWO_PI
         ok = (delta <= spans[j] + ang_tol) | (delta >= TWO_PI - ang_tol)
         inside |= ok & (r <= radii[j] + GEOM_EPS)
@@ -391,14 +402,6 @@ def _blocking_terms(center, city: CityMap, params: RadioParams, r_los: float):
     if not keep.any():
         return None
     return _crop_mask(arrs, keep), factor[keep]
-
-
-def _crop_mask(arrs: BuildingArrays, keep: np.ndarray) -> BuildingArrays:
-    out = BuildingArrays.__new__(BuildingArrays)
-    out.x0, out.x1 = arrs.x0[keep], arrs.x1[keep]
-    out.y0, out.y1 = arrs.y0[keep], arrs.y1[keep]
-    out.h = arrs.h[keep]
-    return out
 
 
 def azimuth_coverage_radius(bs: BaseStation, theta: float, city: CityMap,
@@ -474,17 +477,17 @@ def _certified_cell_radii(center, city: CityMap, params: RadioParams, n_cells: i
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
 
 
-def _cells_to_sectors(radii: np.ndarray, center, merge_tol: float,
-                      min_radius: float) -> tuple[CircularSector, ...]:
+def _cells_to_wedges(radii: np.ndarray, merge_tol: float, min_radius: float):
     """Group adjacent cells of similar radius, split spans over pi, drop slivers.
 
     A group's radius is the minimum over its cells, so the claimed region never
-    exceeds any constituent cell's certified radius.
+    exceeds any constituent cell's certified radius. Returns the wedges'
+    start azimuths, end azimuths and radii as lists.
     """
     n = radii.size
     edges = np.linspace(0.0, TWO_PI, n + 1).tolist()
     radii = radii.tolist()  # Python floats: this loop is scalar work
-    sectors: list[CircularSector] = []
+    starts, ends, wedge_radii = [], [], []
     i = 0
     while i < n:
         lo = hi = radii[i]
@@ -501,13 +504,11 @@ def _cells_to_sectors(radii: np.ndarray, center, merge_tol: float,
             span = a1 - a0
             pieces = max(1, math.ceil(span / math.pi - 1e-12))
             for p in range(pieces):
-                s0 = a0 + span * p / pieces
-                s1 = a0 + span * (p + 1) / pieces
-                sectors.append(
-                    CircularSector(center, s0, min(s1, TWO_PI), float(lo))
-                )
+                starts.append(a0 + span * p / pieces)
+                ends.append(min(a0 + span * (p + 1) / pieces, TWO_PI))
+                wedge_radii.append(lo)
         i = j
-    return tuple(sectors)
+    return starts, ends, wedge_radii
 
 
 def build_coverage_map(
@@ -525,28 +526,26 @@ def build_coverage_map(
         raise InvalidConfigError(f"angular_step must evenly divide 2*pi: {angular_step}")
     radii = _certified_cell_radii(bs.xy, city, params, n_cells)
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
-    sectors = _cells_to_sectors(radii, bs.xy, merge_tol, min_radius)
-    cov = CoverageMap(
-        bs_id=bs.id, center=bs.xy, sectors=sectors, border_points=np.empty((0, 2))
-    )
+    wedges = _cells_to_wedges(radii, merge_tol, min_radius)
+    cov = CoverageMap(bs.id, bs.xy, *wedges, border_points=np.empty((0, 2)))
     return discretize_border(cov, border_samples)
 
 
-def _boundary_items(sectors: tuple[CircularSector, ...]):
-    """Boundary walk of the sector union: arcs plus radial walls at junctions."""
+def _boundary_items(cov: CoverageMap):
+    """Boundary walk of the wedge union: arcs plus radial walls at junctions."""
     items = []
-    m = len(sectors)
-    for idx, s in enumerate(sectors):
-        items.append(("arc", s.theta_start, s.span, s.radius))
-        nxt = sectors[(idx + 1) % m]
-        gap_start = s.theta_end
-        gap_end = nxt.theta_start + (TWO_PI if idx + 1 == m else 0.0)
-        if gap_end - gap_start > 1e-12:
+    starts, ends, radii = cov.starts.tolist(), cov.ends.tolist(), cov.radii.tolist()
+    m = len(starts)
+    for i in range(m):
+        items.append(("arc", starts[i], ends[i] - starts[i], radii[i]))
+        j = (i + 1) % m
+        gap_end = starts[j] + (TWO_PI if j == 0 else 0.0)
+        if gap_end - ends[i] > 1e-12:
             # Azimuth gap: the boundary drops to the apex and climbs back out.
-            items.append(("wall", s.theta_end, s.radius, 0.0))
-            items.append(("wall", nxt.theta_start, 0.0, nxt.radius))
-        elif abs(s.radius - nxt.radius) > 1e-12:
-            items.append(("wall", nxt.theta_start, s.radius, nxt.radius))
+            items.append(("wall", ends[i], radii[i], 0.0))
+            items.append(("wall", starts[j], 0.0, radii[j]))
+        elif abs(radii[i] - radii[j]) > 1e-12:
+            items.append(("wall", starts[j], radii[i], radii[j]))
     return items
 
 
@@ -556,7 +555,7 @@ def discretize_border(cov: CoverageMap, q: int) -> CoverageMap:
         raise InvalidConfigError(f"border sample count must be >= 1: {q}")
     if cov.is_empty:
         return replace(cov, border_points=np.empty((0, 2)))
-    items = _boundary_items(cov.sectors)
+    items = _boundary_items(cov)
     lengths = np.array(
         [it[3] * it[2] if it[0] == "arc" else abs(it[3] - it[2]) for it in items]
     )

@@ -69,7 +69,11 @@ def outage_fraction(t: Trajectory, scenario: Scenario, step: float = OUTAGE_STEP
 
 @dataclass
 class PlannerReport:
-    """One planner's outcome on one scenario draw."""
+    """One planner's outcome on one scenario draw.
+
+    For ``optimized``, nodes/edges count the paper's refined graph, also when
+    the path came from the sequence-free A* over all common-border points.
+    """
 
     seed: int
     planner: str
@@ -114,7 +118,8 @@ def evaluate_planners(
 
     Returns (reports, trajectories). Wall times are cumulative over the
     stages a planner needs: the optimized planner's time includes coverage
-    construction and the base stage it refines.
+    construction and the base stage it refines. The optimized row's
+    nodes/edges count the refined graph, not the sequence-free A* search.
     """
     wanted = [p for p in PLANNER_ORDER if p in planners]
     reports: list[PlannerReport] = []

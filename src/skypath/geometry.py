@@ -227,13 +227,6 @@ def ray_rect_entry(ox, oy, ux, uy, x0, x1, y0, y1):
 # ---------------------------------------------------------------------------
 
 
-def _sector_arrays(sectors: Sequence[CircularSector]):
-    starts = np.array([s.theta_start for s in sectors], dtype=float)
-    spans = np.array([s.span for s in sectors], dtype=float)
-    radii = np.array([s.radius for s in sectors], dtype=float)
-    return starts, spans, radii
-
-
 def points_in_sectors(xy: np.ndarray, center, starts, spans, radii) -> np.ndarray:
     """Membership of points (n, 2) in any of m sectors sharing one center.
 
@@ -261,7 +254,7 @@ def points_in_sectors(xy: np.ndarray, center, starts, spans, radii) -> np.ndarra
 
 def point_in_sector(p, s: CircularSector) -> bool:
     """True iff p lies in the closed sector s (tolerance GEOM_EPS)."""
-    starts, spans, radii = _sector_arrays([s])
+    starts, spans, radii = np.array([s.theta_start]), np.array([s.span]), np.array([s.radius])
     return bool(points_in_sectors(np.asarray(p, dtype=float), s.center, starts, spans, radii)[0])
 
 

@@ -301,7 +301,7 @@ class TestDiscretizeBorder:
         cov = build_coverage_map(scn.base_stations[0], scn.city, params, border_samples=64)
         from skypath.coverage import _boundary_items
 
-        items = _boundary_items(cov.sectors)
+        items = _boundary_items(cov)
         total = sum(
             it[3] * it[2] if it[0] == "arc" else abs(it[3] - it[2]) for it in items
         )
@@ -391,3 +391,108 @@ class TestNetworkCovered:
         scn2 = scn.with_base_stations(())
         pts = np.array([[1000.0, 1000.0]])
         assert network_covered(pts, scn2)[0] == False  # noqa: E712
+
+
+class TestWedgeArrays:
+    """The map's wedge arrays against the single-sector reference API."""
+
+    @staticmethod
+    def _probe_points(cov, rng):
+        """Random points plus points within 2*GEOM_EPS of every edge, arc and the apex."""
+        from skypath.geometry import GEOM_EPS
+
+        c = np.asarray(cov.center)
+        rad = cov.max_radius + 5.0
+        pts = [c + rng.uniform(-rad, rad, size=(3000, 2)), cov.border_points]
+        offs = GEOM_EPS * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+        for s in cov.sectors:
+            for ang in (s.theta_start, s.theta_end, 0.5 * (s.theta_start + s.theta_end)):
+                u = np.array([math.cos(ang), math.sin(ang)])
+                n = np.array([-u[1], u[0]])
+                radii = np.concatenate([[1e-6, 1.5e-6, 1.0, 0.5 * s.radius], s.radius + offs])
+                rr, dd = np.meshgrid(radii, offs)
+                pts.append(c + rr.reshape(-1, 1) * u + dd.reshape(-1, 1) * n)
+        # the apex, and both sides of the 0 / 2*pi wrap
+        ang = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+        for r in (0.0, 0.5 * GEOM_EPS, GEOM_EPS, 1.5 * GEOM_EPS, 3 * GEOM_EPS):
+            pts.append(c + r * np.column_stack([np.cos(ang), np.sin(ang)]))
+        for x in (1.0, 50.0, cov.max_radius):
+            pts.append(c + np.column_stack([np.full(7, x), offs]))
+        return np.vstack(pts)
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_membership_matches_sector_reference(self, seed):
+        from skypath.geometry import points_in_sectors
+
+        scn = small_city_scenario(seed=seed, k=6)
+        maps, _ = build_all_coverage(scn)
+        rng = np.random.default_rng(seed)
+        for cov in maps.values():
+            if cov.is_empty:
+                continue
+            pts = self._probe_points(cov, rng)
+            starts = np.array([s.theta_start for s in cov.sectors])
+            spans = np.array([s.span for s in cov.sectors])
+            radii = np.array([s.radius for s in cov.sectors])
+            expected = points_in_sectors(pts, cov.center, starts, spans, radii)
+            np.testing.assert_array_equal(points_in_coverage(pts, cov), expected)
+
+    def test_radius_steps_match_sector_lookup(self):
+        scn = small_city_scenario(seed=103, k=6)
+        maps, _ = build_all_coverage(scn)
+        theta = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 4000)
+        for cov in maps.values():
+            lookup = np.zeros_like(theta)
+            for s in cov.sectors:
+                held = (theta >= s.theta_start) & (theta < s.theta_end)
+                lookup = np.where(held, np.maximum(lookup, s.radius), lookup)
+            jumps, before, after = cov.radius_steps
+            if jumps.size == 0:
+                assert (lookup == lookup[0]).all()
+                continue
+            np.testing.assert_array_equal(np.roll(after, 1), before)
+            idx = np.searchsorted(jumps, theta, side="right") - 1
+            near = np.abs(theta[:, None] - jumps[None, :]).min(axis=1) < 1e-9
+            np.testing.assert_array_equal(after[idx][~near], lookup[~near])
+
+    @pytest.mark.parametrize("starts, ends, radii", [
+        ([1.0, 0.0], [1.5, 0.5], [10.0, 10.0]),        # unsorted
+        ([0.0, 0.4], [0.5, 1.0], [10.0, 10.0]),        # overlapping
+        ([0.0], [math.pi + 0.1], [10.0]),              # wider than pi
+        ([1.0], [1.0], [10.0]),                        # empty span
+        ([-0.1], [0.5], [10.0]),                       # before 0
+        ([6.0], [2 * math.pi + 0.1], [10.0]),          # past 2*pi
+        ([0.0], [0.5], [-1.0]),                        # negative radius
+        ([0.0, 1.0], [0.5], [10.0, 10.0]),             # ragged arrays
+    ])
+    def test_invalid_wedges_rejected(self, starts, ends, radii):
+        from skypath.coverage import CoverageMap
+
+        with pytest.raises(ValueError):
+            CoverageMap(1, (0.0, 0.0), starts, ends, radii, np.empty((0, 2)))
+
+    def test_rounding_overlap_of_touching_wedges_accepted(self):
+        from skypath.coverage import CoverageMap
+
+        edge = 1.0
+        cov = CoverageMap(1, (0.0, 0.0), [0.0, edge], [edge + 4e-16, 2.0], [10.0, 20.0],
+                          np.empty((0, 2)))
+        jumps, before, after = cov.radius_steps
+        # the two edges of the joint are one jump, at the smaller angle
+        assert jumps.tolist() == [0.0, edge, 2.0]
+        assert before.tolist() == [0.0, 10.0, 20.0]
+        assert after.tolist() == [10.0, 20.0, 0.0]
+
+    def test_building_and_planning_construct_no_sector(self, monkeypatch):
+        from skypath.geometry import CircularSector
+        from skypath.planner import base_trajectory, optimize_trajectory
+
+        def forbidden(self):
+            raise AssertionError("CircularSector constructed")
+
+        monkeypatch.setattr(CircularSector, "__post_init__", forbidden)
+        scn = small_city_scenario(seed=20, k=6)
+        maps, commons = build_all_coverage(scn)
+        base = base_trajectory(scn, maps, commons)
+        assert base is not None
+        optimize_trajectory(base, scn, maps, commons)

@@ -165,7 +165,10 @@ def _inside(a, b, *sectors) -> bool:
     from skypath.coverage import CoverageMap
     from skypath.planner import segments_in_coverage
 
-    cov = CoverageMap(bs_id=1, center=(0.0, 0.0), sectors=sectors,
+    cov = CoverageMap(bs_id=1, center=(0.0, 0.0),
+                      starts=[s.theta_start for s in sectors],
+                      ends=[s.theta_end for s in sectors],
+                      radii=[s.radius for s in sectors],
                       border_points=np.empty((0, 2)))
     return bool(segments_in_coverage(np.array(a), np.array(b), cov)[0])
 

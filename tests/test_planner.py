@@ -191,7 +191,10 @@ class TestLineInCoverage:
             CircularSector((0.0, 0.0), 0.0, 0.4, 500.0),
             CircularSector((0.0, 0.0), 1.0, 1.4, 500.0),
         )
-        cov = CoverageMap(bs_id=1, center=(0.0, 0.0), sectors=sectors,
+        cov = CoverageMap(bs_id=1, center=(0.0, 0.0),
+                          starts=[s.theta_start for s in sectors],
+                          ends=[s.theta_end for s in sectors],
+                          radii=[s.radius for s in sectors],
                           border_points=np.empty((0, 2)))
         a = (400 * math.cos(0.2), 400 * math.sin(0.2))
         b = (400 * math.cos(1.2), 400 * math.sin(1.2))
