@@ -21,6 +21,12 @@ perpendicular-foot critical azimuths), then shaved by a small safety margin,
 so every claimed point holds SNR >= threshold with a strictly positive margin.
 Point-sampled azimuths would over-claim between samples and break the
 zero-outage guarantee.
+
+Maps are built in batches: the greedy cell merge steps over runs of equal
+cell radius rather than single cells, the border points are placed from the
+wedge arrays in one pass, and the common borders of all station pairs take
+one ``points_in_coverage`` call per map, on the stacked border points of
+every station whose coverage can reach it.
 """
 
 from __future__ import annotations
@@ -481,34 +487,48 @@ def _cells_to_wedges(radii: np.ndarray, merge_tol: float, min_radius: float):
     """Group adjacent cells of similar radius, split spans over pi, drop slivers.
 
     A group's radius is the minimum over its cells, so the claimed region never
-    exceeds any constituent cell's certified radius. Returns the wedges'
-    start azimuths, end azimuths and radii as lists.
+    exceeds any constituent cell's certified radius. The greedy merge grows a
+    group cell by cell while max - min stays below ``merge_tol``. A cell equal
+    to one already in the group cannot widen max - min, so with a positive
+    tolerance the merge takes a run of equal cells whole or breaks at its first
+    cell, and it steps over such runs; a tolerance <= 0 breaks at every cell.
+    Returns the wedges' start azimuths, end azimuths and radii as float arrays.
     """
     n = radii.size
     edges = np.linspace(0.0, TWO_PI, n + 1).tolist()
-    radii = radii.tolist()  # Python floats: this loop is scalar work
+    new_run = radii[1:] != radii[:-1]
+    if merge_tol <= 0.0:
+        new_run[:] = True
+    # run r holds cells cuts[r] to cuts[r + 1] - 1, all of radius values[r]
+    cuts = [0, *(np.flatnonzero(new_run) + 1).tolist(), n]
+    values = radii[cuts[:-1]].tolist()  # Python floats: this loop is scalar work
+    runs = len(values)
     starts, ends, wedge_radii = [], [], []
-    i = 0
-    while i < n:
-        lo = hi = radii[i]
-        j = i + 1
-        while j < n:
-            nlo = min(lo, radii[j])
-            nhi = max(hi, radii[j])
+    r = 0
+    while r < runs:
+        lo = hi = values[r]
+        s = r + 1
+        while s < runs:
+            v = values[s]
+            nlo = v if v < lo else lo
+            nhi = v if v > hi else hi
             if nhi - nlo >= merge_tol:
                 break
             lo, hi = nlo, nhi
-            j += 1
+            s += 1
         if lo >= min_radius:
-            a0, a1 = edges[i], edges[j]
+            a0, a1 = edges[cuts[r]], edges[cuts[s]]
             span = a1 - a0
-            pieces = max(1, math.ceil(span / math.pi - 1e-12))
+            pieces = math.ceil(span / math.pi - 1e-12)
+            if pieces < 1:
+                pieces = 1
             for p in range(pieces):
+                end = a0 + span * (p + 1) / pieces
                 starts.append(a0 + span * p / pieces)
-                ends.append(min(a0 + span * (p + 1) / pieces, TWO_PI))
+                ends.append(end if end < TWO_PI else TWO_PI)
                 wedge_radii.append(lo)
-        i = j
-    return starts, ends, wedge_radii
+        r = s
+    return tuple(np.array(w, dtype=float) for w in (starts, ends, wedge_radii))
 
 
 def build_coverage_map(
@@ -527,79 +547,118 @@ def build_coverage_map(
     radii = _certified_cell_radii(bs.xy, city, params, n_cells)
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
     wedges = _cells_to_wedges(radii, merge_tol, min_radius)
-    cov = CoverageMap(bs.id, bs.xy, *wedges, border_points=np.empty((0, 2)))
-    return discretize_border(cov, border_samples)
+    border = _border_points(bs.xy, *wedges, border_samples)
+    return CoverageMap(bs.id, bs.xy, *wedges, border_points=border)
 
 
-def _boundary_items(cov: CoverageMap):
-    """Boundary walk of the wedge union: arcs plus radial walls at junctions."""
-    items = []
-    starts, ends, radii = cov.starts.tolist(), cov.ends.tolist(), cov.radii.tolist()
-    m = len(starts)
-    for i in range(m):
-        items.append(("arc", starts[i], ends[i] - starts[i], radii[i]))
-        j = (i + 1) % m
-        gap_end = starts[j] + (TWO_PI if j == 0 else 0.0)
-        if gap_end - ends[i] > 1e-12:
-            # Azimuth gap: the boundary drops to the apex and climbs back out.
-            items.append(("wall", ends[i], radii[i], 0.0))
-            items.append(("wall", starts[j], 0.0, radii[j]))
-        elif abs(radii[i] - radii[j]) > 1e-12:
-            items.append(("wall", starts[j], radii[i], radii[j]))
-    return items
+def _border_points(center, starts: np.ndarray, ends: np.ndarray, radii: np.ndarray,
+                   q: int) -> np.ndarray:
+    """q points spaced uniformly by arc length along the wedge union's boundary.
+
+    The boundary is walked from the first wedge's start, with three slots per
+    wedge: its arc, then a radial wall out to the apex and a wall back in to
+    the next wedge where an azimuth gap follows, or one wall between the two
+    radii where the next wedge joins at a different radius. Point s lies on
+    the first piece whose cumulative length exceeds s; ``np.cumsum`` adds in
+    order, so those sums are the ones a piece-by-piece walk would reach.
+    """
+    if q < 1:
+        raise InvalidConfigError(f"border sample count must be >= 1: {q}")
+    m = radii.size
+    if m == 0:
+        return np.empty((0, 2))
+    next_start = np.append(starts[1:], starts[0])
+    next_radius = np.append(radii[1:], radii[0])
+    gap = np.append(starts[1:] - ends[:-1], starts[0] + TWO_PI - ends[-1]) > 1e-12
+    step = np.abs(radii - next_radius) > 1e-12
+    # Slots, wedge by wedge: arc, wall out, wall in. An arc runs from its
+    # start angle over r_from = its span at radius r_to; a wall runs at its
+    # angle from radius r_from to radius r_to.
+    angle = np.stack([starts, ends, next_start], axis=1).ravel()
+    r_from = np.stack([ends - starts, radii, np.where(gap, 0.0, radii)], axis=1).ravel()
+    r_to = np.stack([radii, np.zeros(m), next_radius], axis=1).ravel()
+    present = np.stack([np.ones(m, dtype=bool), gap, gap | step], axis=1).ravel()
+    keep = np.flatnonzero(present)
+    angle, r_from, r_to, is_arc = angle[keep], r_from[keep], r_to[keep], keep % 3 == 0
+    lengths = np.where(is_arc, r_to * r_from, np.abs(r_to - r_from))
+    total = float(lengths.sum())
+    if total <= 0.0:
+        return np.empty((0, 2))
+
+    targets = np.arange(q) * (total / q)
+    cum = np.cumsum(lengths)
+    piece = np.minimum(np.searchsorted(cum, targets, side="right"), lengths.size - 1)
+    local = targets - np.where(piece > 0, cum[piece - 1], 0.0)
+    ang0, a, b, arc = angle[piece], r_from[piece], r_to[piece], is_arc[piece]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        along = np.where(b > 0.0, local / b, 0.0)
+    rho = np.where(arc, b, a + np.copysign(local, b - a))
+    phi = np.where(arc, ang0 + along, ang0)
+    points = np.empty((q, 2))
+    points[:, 0] = center[0] + rho * np.cos(phi)
+    points[:, 1] = center[1] + rho * np.sin(phi)
+    return points
 
 
 def discretize_border(cov: CoverageMap, q: int) -> CoverageMap:
-    """Place q points uniformly by arc length along the coverage perimeter."""
-    if q < 1:
-        raise InvalidConfigError(f"border sample count must be >= 1: {q}")
-    if cov.is_empty:
-        return replace(cov, border_points=np.empty((0, 2)))
-    items = _boundary_items(cov)
-    lengths = np.array(
-        [it[3] * it[2] if it[0] == "arc" else abs(it[3] - it[2]) for it in items]
-    )
-    total = float(lengths.sum())
-    if total <= 0.0:
-        return replace(cov, border_points=np.empty((0, 2)))
+    """The map with q border points placed uniformly by arc length along its perimeter."""
+    return replace(cov, border_points=_border_points(cov.center, cov.starts, cov.ends,
+                                                     cov.radii, q))
 
-    cx, cy = cov.center
-    targets = np.arange(q) * (total / q)
-    points = np.empty((q, 2))
-    item_idx = 0
-    consumed = 0.0
-    for pi, s_target in enumerate(targets):
-        while s_target >= consumed + lengths[item_idx] and item_idx < len(items) - 1:
-            consumed += lengths[item_idx]
-            item_idx += 1
-        local = s_target - consumed
-        kind, ang0, a, b = items[item_idx]
-        if kind == "arc":
-            ang = ang0 + (local / b if b > 0.0 else 0.0)
-            points[pi] = (cx + b * math.cos(ang), cy + b * math.sin(ang))
-        else:
-            r_here = a + math.copysign(local, b - a)
-            points[pi] = (cx + r_here * math.cos(ang0), cy + r_here * math.sin(ang0))
-    return replace(cov, border_points=points)
+
+def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], CommonBorder]:
+    """Common borders of every overlapping pair of maps, keyed by station ids.
+
+    The pair (maps[i], maps[j]), i < j, keeps the border points of maps[i]
+    inside maps[j], then those of maps[j] inside maps[i]; pairs that share no
+    point are left out. Membership is elementwise, so each map tests the
+    stacked border points of all its partners in one ``points_in_coverage``
+    call, and the result is split back per partner.
+    """
+    n = len(maps)
+    reach = [cov.max_radius for cov in maps]
+    partners = [[] for _ in maps]  # sorted indices of the maps that can overlap
+    for i, a in enumerate(maps):
+        for j in range(i + 1, n):
+            b = maps[j]
+            if a.is_empty or b.is_empty:
+                continue
+            gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+            if gap > reach[i] + reach[j] + GEOM_EPS:
+                continue
+            partners[i].append(j)
+            partners[j].append(i)
+
+    inside = {}  # (p, m): which border points of maps[p] lie inside maps[m]
+    for m, cov in enumerate(maps):
+        ps = [p for p in partners[m] if maps[p].border_count]
+        if not ps:
+            continue
+        hits = points_in_coverage(np.vstack([maps[p].border_points for p in ps]), cov)
+        cuts = np.cumsum([maps[p].border_count for p in ps])[:-1]
+        inside.update(((p, m), mask) for p, mask in zip(ps, np.split(hits, cuts)))
+
+    commons = {}
+    for i, a in enumerate(maps):
+        for j in partners[i]:
+            if j < i:
+                continue
+            pts = [
+                maps[p].border_points[inside[p, m]]
+                for p, m in ((i, j), (j, i))
+                if (p, m) in inside
+            ]
+            points = np.vstack(pts) if pts else np.empty((0, 2))
+            if points.shape[0]:
+                pair = (a.bs_id, maps[j].bs_id)
+                commons[pair] = CommonBorder(pair, points)
+    return commons
 
 
 def common_border_points(cov_a: CoverageMap, cov_b: CoverageMap) -> CommonBorder:
     """Border points of either map that fall inside the other map's coverage."""
     pair = (cov_a.bs_id, cov_b.bs_id)
-    if cov_a.is_empty or cov_b.is_empty:
-        return CommonBorder(pair, np.empty((0, 2)))
-    gap = math.hypot(
-        cov_a.center[0] - cov_b.center[0], cov_a.center[1] - cov_b.center[1]
-    )
-    if gap > cov_a.max_radius + cov_b.max_radius + GEOM_EPS:
-        return CommonBorder(pair, np.empty((0, 2)))
-    pts = []
-    if cov_a.border_count:
-        pts.append(cov_a.border_points[points_in_coverage(cov_a.border_points, cov_b)])
-    if cov_b.border_count:
-        pts.append(cov_b.border_points[points_in_coverage(cov_b.border_points, cov_a)])
-    points = np.vstack(pts) if pts else np.empty((0, 2))
-    return CommonBorder(pair, points)
+    return _common_borders([cov_a, cov_b]).get(pair, CommonBorder(pair, np.empty((0, 2))))
 
 
 def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
@@ -612,14 +671,7 @@ def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
         )
         for bs in scenario.base_stations
     }
-    ids = sorted(maps)
-    commons = {}
-    for i, k in enumerate(ids):
-        for j in ids[i + 1:]:
-            cb = common_border_points(maps[k], maps[j])
-            if cb.points.shape[0]:
-                commons[(k, j)] = cb
-    return maps, commons
+    return maps, _common_borders([maps[k] for k in sorted(maps)])
 
 
 def save_coverage_dump(maps: dict[int, CoverageMap], path: str | Path) -> None:

@@ -212,32 +212,44 @@ def evaluate_planners(
 
 
 def _run_trial(args):
+    """One trial's reports; a trial that raises gives one infeasible row per planner."""
     scenario, config, trial = args
     seed = config.base_seed + trial
-    stations = place_base_stations(
-        scenario.city,
-        k=len(scenario.base_stations),
-        h_g=scenario.radio.bs_height,
-        seed=seed,
-    )
-    trial_scenario = scenario.with_base_stations(stations)
-    reports, _ = evaluate_planners(
-        trial_scenario,
-        planners=config.planners,
-        seed=seed,
-        border_samples=config.border_samples,
-        angular_step=config.angular_step,
-        grid_step=config.grid_step,
-        outage_step=config.outage_step,
-    )
+    t0 = time.perf_counter()
+    try:
+        stations = place_base_stations(
+            scenario.city,
+            k=len(scenario.base_stations),
+            h_g=scenario.radio.bs_height,
+            seed=seed,
+        )
+        trial_scenario = scenario.with_base_stations(stations)
+        reports, _ = evaluate_planners(
+            trial_scenario,
+            planners=config.planners,
+            seed=seed,
+            border_samples=config.border_samples,
+            angular_step=config.angular_step,
+            grid_step=config.grid_step,
+            outage_step=config.outage_step,
+        )
+    except Exception as exc:
+        wall = (time.perf_counter() - t0) * 1e3
+        note = f"{type(exc).__name__}: {exc}"
+        return [
+            PlannerReport(seed, planner, False, None, None, None, None, wall, note)
+            for planner in PLANNER_ORDER
+            if planner in config.planners
+        ]
     return reports
 
 
 def run_monte_carlo(scenario: Scenario, config: MonteCarloConfig) -> list[PlannerReport]:
     """Re-draw station placement per trial (seeds S..S+N-1) and score planners.
 
-    Infeasible trials are recorded, not fatal. Rows come back sorted by
-    (seed, planner order), so aggregation is independent of execution order.
+    Infeasible trials are recorded, not fatal, and so is a trial that raises
+    (see ``_run_trial``). Rows come back sorted by (seed, planner order), so
+    aggregation is independent of execution order.
     """
     tasks = [(scenario, config, i) for i in range(config.trials)]
     if config.jobs > 1:

@@ -123,3 +123,121 @@ def line_check_tie(a, b, cov, step=0.5) -> bool:
         return True  # excursion below even 4x oracle resolution
     depth = max(distance_to_coverage(p, cov) for p in pts[outside])
     return depth < 1e-5 or outside.sum() * (length / (4 * n)) < step
+
+
+def cell_merge_oracle(radii: np.ndarray, merge_tol: float, min_radius: float):
+    """Cell-by-cell greedy merge of certified cell radii into wedges.
+
+    Reference for ``coverage._cells_to_wedges``: adjacent cells join a group
+    while max - min stays below ``merge_tol``, each group takes the minimum
+    radius, spans over pi are split, and groups below ``min_radius`` are
+    dropped. Returns start azimuths, end azimuths and radii as lists.
+    """
+    two_pi = 2.0 * math.pi
+    n = radii.size
+    edges = np.linspace(0.0, two_pi, n + 1).tolist()
+    radii = radii.tolist()
+    starts, ends, wedge_radii = [], [], []
+    i = 0
+    while i < n:
+        lo = hi = radii[i]
+        j = i + 1
+        while j < n:
+            nlo = min(lo, radii[j])
+            nhi = max(hi, radii[j])
+            if nhi - nlo >= merge_tol:
+                break
+            lo, hi = nlo, nhi
+            j += 1
+        if lo >= min_radius:
+            a0, a1 = edges[i], edges[j]
+            span = a1 - a0
+            pieces = max(1, math.ceil(span / math.pi - 1e-12))
+            for p in range(pieces):
+                starts.append(a0 + span * p / pieces)
+                ends.append(min(a0 + span * (p + 1) / pieces, two_pi))
+                wedge_radii.append(lo)
+        i = j
+    return starts, ends, wedge_radii
+
+
+def _boundary_items_oracle(cov):
+    """Boundary walk of the wedge union: arcs plus radial walls at junctions."""
+    two_pi = 2.0 * math.pi
+    items = []
+    starts, ends, radii = cov.starts.tolist(), cov.ends.tolist(), cov.radii.tolist()
+    m = len(starts)
+    for i in range(m):
+        items.append(("arc", starts[i], ends[i] - starts[i], radii[i]))
+        j = (i + 1) % m
+        gap_end = starts[j] + (two_pi if j == 0 else 0.0)
+        if gap_end - ends[i] > 1e-12:
+            # Azimuth gap: the boundary drops to the apex and climbs back out.
+            items.append(("wall", ends[i], radii[i], 0.0))
+            items.append(("wall", starts[j], 0.0, radii[j]))
+        elif abs(radii[i] - radii[j]) > 1e-12:
+            items.append(("wall", starts[j], radii[i], radii[j]))
+    return items
+
+
+def border_walk_oracle(cov, q: int) -> np.ndarray:
+    """Reference for ``coverage.discretize_border``: q points spaced uniformly
+    by arc length, placed by walking the boundary items one at a time."""
+    if cov.is_empty:
+        return np.empty((0, 2))
+    items = _boundary_items_oracle(cov)
+    lengths = np.array(
+        [it[3] * it[2] if it[0] == "arc" else abs(it[3] - it[2]) for it in items]
+    )
+    total = float(lengths.sum())
+    if total <= 0.0:
+        return np.empty((0, 2))
+
+    cx, cy = cov.center
+    targets = np.arange(q) * (total / q)
+    points = np.empty((q, 2))
+    item_idx = 0
+    consumed = 0.0
+    for pi, s_target in enumerate(targets):
+        while s_target >= consumed + lengths[item_idx] and item_idx < len(items) - 1:
+            consumed += lengths[item_idx]
+            item_idx += 1
+        local = s_target - consumed
+        kind, ang0, a, b = items[item_idx]
+        if kind == "arc":
+            ang = ang0 + (local / b if b > 0.0 else 0.0)
+            points[pi] = (cx + b * math.cos(ang), cy + b * math.sin(ang))
+        else:
+            r_here = a + math.copysign(local, b - a)
+            points[pi] = (cx + r_here * math.cos(ang0), cy + r_here * math.sin(ang0))
+    return points
+
+
+def pairwise_common_borders(maps) -> dict:
+    """Common-border points of each overlapping pair of maps, one pair at a time.
+
+    Keys are (k, j) with k < j over the sorted station ids; each value holds
+    k's border points inside j's map, then j's border points inside k's map.
+    """
+    from skypath.coverage import points_in_coverage
+    from skypath.geometry import GEOM_EPS
+
+    ids = sorted(maps)
+    out = {}
+    for i, k in enumerate(ids):
+        for j in ids[i + 1:]:
+            a, b = maps[k], maps[j]
+            if a.is_empty or b.is_empty:
+                continue
+            gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+            if gap > a.max_radius + b.max_radius + GEOM_EPS:
+                continue
+            pts = []
+            if a.border_count:
+                pts.append(a.border_points[points_in_coverage(a.border_points, b)])
+            if b.border_count:
+                pts.append(b.border_points[points_in_coverage(b.border_points, a)])
+            points = np.vstack(pts) if pts else np.empty((0, 2))
+            if points.shape[0]:
+                out[(k, j)] = points
+    return out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skypath.coverage import (
     MARCH_STEP,
@@ -22,9 +24,12 @@ from skypath.geometry import Building, Point3
 from skypath.scenario import BaseStation, CityMap, default_radio_params
 
 from conftest import (
+    border_walk_oracle,
+    cell_merge_oracle,
     direct_snr_max,
     march_coverage_radius,
     open_field_scenario,
+    pairwise_common_borders,
     small_city_scenario,
 )
 
@@ -299,12 +304,14 @@ class TestDiscretizeBorder:
     def test_uniform_spacing_along_perimeter(self, params):
         scn = small_city_scenario(seed=23, k=1)
         cov = build_coverage_map(scn.base_stations[0], scn.city, params, border_samples=64)
-        from skypath.coverage import _boundary_items
-
-        items = _boundary_items(cov)
-        total = sum(
-            it[3] * it[2] if it[0] == "arc" else abs(it[3] - it[2]) for it in items
-        )
+        # perimeter: every arc, plus a wall down to the apex and back out at
+        # an azimuth gap, or one wall between the radii at a joint
+        starts, ends, radii = cov.starts, cov.ends, cov.radii
+        next_start = np.append(starts[1:], starts[0] + 2 * math.pi)
+        next_radius = np.append(radii[1:], radii[0])
+        gap = next_start - ends > 1e-12
+        walls = np.where(gap, radii + next_radius, np.abs(radii - next_radius))
+        total = float((radii * (ends - starts)).sum() + walls.sum())
         # walking distance between consecutive points equals total/Q; chord
         # distance can only be shorter
         chords = np.hypot(*(np.diff(np.vstack([cov.border_points,
@@ -496,3 +503,201 @@ class TestWedgeArrays:
         base = base_trajectory(scn, maps, commons)
         assert base is not None
         optimize_trajectory(base, scn, maps, commons)
+
+
+def assert_bitwise(actual, expected):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def run_radii(draw):
+    """Cell radii made of runs: equal values, steps of exactly the merge
+    tolerance, zeros and values below the minimum radius."""
+    tol = draw(st.sampled_from([2.0, 0.5, 0.0]))
+    base = draw(st.sampled_from([0.0, 3.0, 5.0, 100.25]))
+    palette = [0.0, 4.5, *(base + k * tol for k in range(5))]
+    value = st.one_of(st.sampled_from(palette), st.floats(0.0, 600.0))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 300)), min_size=1, max_size=12))
+    radii = np.concatenate([np.full(length, v) for v, length in runs])
+    if radii.size < 2:
+        radii = np.append(radii, radii)
+    return radii, tol
+
+
+class TestCellMergeByRuns:
+    """The run-stepping cell merge against the cell-by-cell greedy merge."""
+
+    @staticmethod
+    def _check(radii, merge_tol, min_radius=5.0):
+        from skypath.coverage import _cells_to_wedges
+
+        got = _cells_to_wedges(radii, merge_tol, min_radius)
+        want = cell_merge_oracle(radii, merge_tol, min_radius)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_radii(), st.sampled_from([0.0, 5.0, 50.0]))
+    def test_matches_cell_by_cell_merge(self, case, min_radius):
+        radii, tol = case
+        self._check(radii, tol, min_radius)
+
+    @pytest.mark.parametrize("n", [2, 3, 720])
+    @pytest.mark.parametrize("value", [0.0, 4.0, 250.0])
+    def test_all_equal_cells(self, n, value):
+        starts, ends, radii = self._check(np.full(n, value), 2.0)
+        if value < 5.0:
+            assert radii.size == 0
+        else:
+            # one group around the circle, split into pieces of at most pi
+            assert starts[0] == 0.0 and ends[-1] == 2 * math.pi
+            assert ((ends - starts) <= math.pi + 1e-12).all()
+            assert (radii == value).all()
+
+    @pytest.mark.parametrize("radii", [
+        [10.0, 12.0], [12.0, 10.0], [10.0, 11.9], [0.0, 0.0], [4.9, 5.0], [5.0, 4.9],
+    ])
+    @pytest.mark.parametrize("merge_tol", [2.0, 0.0])
+    def test_two_cells(self, radii, merge_tol):
+        self._check(np.array(radii), merge_tol)
+
+    def test_steps_of_exactly_the_tolerance(self):
+        radii = np.repeat([10.0, 12.0, 10.0, 11.0, 13.0, 13.0, 3.0, 3.0], 30)
+        starts, ends, wedge_radii = self._check(radii, 2.0)
+        # a step of exactly merge_tol starts a new group
+        assert wedge_radii.tolist()[:3] == [10.0, 12.0, 10.0]
+
+    @pytest.mark.parametrize("seed", [11, 19, 23, 29])
+    def test_certified_radii_of_small_city(self, seed, params):
+        from skypath.coverage import RADIUS_MERGE_TOL, _certified_cell_radii
+
+        scn = small_city_scenario(seed=seed, k=6)
+        for bs_c in scn.base_stations:
+            radii = _certified_cell_radii(bs_c.xy, scn.city, params, 720)
+            self._check(np.maximum(radii - RADIUS_SAFETY, 0.0), RADIUS_MERGE_TOL)
+
+
+def _wedge_map(starts, ends, radii, center=(0.0, 0.0)):
+    """A hand-built map. At the origin no rounding against the centre hides a
+    difference in the last bits of a border point."""
+    from skypath.coverage import CoverageMap
+
+    return CoverageMap(7, center, starts, ends, radii, np.empty((0, 2)))
+
+
+QS = [1, 4, 64, 257]
+TAU = 2 * math.pi
+
+
+class TestBorderWalkFromArrays:
+    """The array border walk against the item-by-item walk."""
+
+    @staticmethod
+    def _check(cov, q):
+        from skypath.coverage import discretize_border
+
+        got = discretize_border(cov, q)
+        assert_bitwise(got.border_points.reshape(-1, 2), border_walk_oracle(cov, q))
+        assert_bitwise(got.starts, cov.starts)
+        return got.border_points
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("seed", [11, 19, 23, 29])
+    def test_small_city_maps(self, seed, q):
+        scn = small_city_scenario(seed=seed, k=6)
+        maps, _ = build_all_coverage(scn, border_samples=q)
+        for cov in maps.values():
+            assert_bitwise(cov.border_points.reshape(-1, 2), border_walk_oracle(cov, q))
+            self._check(cov, q)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("starts, ends, radii", [
+        ([0.5], [2.0], [100.0]),                                    # single wedge
+        ([0.0], [math.pi], [50.0]),                                 # half disk
+        ([1.0], [3.0], [0.1]),             # some points land exactly on a piece's end
+        ([0.3], [1.5], [2.0]),
+        ([0.0, math.pi], [math.pi, TAU], [80.0, 80.0]),             # joint, equal radii
+        ([0.0, 1.5, 3.0, 4.5], [1.5, 3.0, 4.5, TAU], [40.0, 90.0, 60.0, 90.0]),  # joints
+        ([0.2, 1.5, 4.0], [1.0, 3.0, 5.5], [30.0, 30.0, 120.0]),    # gaps
+        ([0.0, 1.0, 3.0], [1.0, 2.0, 4.0], [60.0, 20.0, 20.0]),     # joints and gaps
+        ([0.0, 1.0], [1.0 + 4e-16, 2.0], [10.0, 20.0]),             # rounding overlap
+        ([0.0, 1.0], [1.0, 2.0], [10.0, 10.0 + 1e-13]),             # step below 1e-12
+        ([1.0, 2.0], [2.0, 3.0], [0.0, 25.0]),                      # zero-radius wedge
+        ([1.0, 2.0], [2.0, 3.0], [0.0, 0.0]),                       # zero perimeter
+    ])
+    def test_hand_built_wedges(self, starts, ends, radii, q):
+        self._check(_wedge_map(starts, ends, radii), q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_wedge_sets(self, data):
+        cuts = data.draw(st.lists(st.floats(0.01, TAU - 0.01), min_size=1, max_size=10,
+                                  unique=True))
+        edges = [0.0, *sorted(cuts), TAU]
+        palette = st.sampled_from([0.0, 5.0, 30.0, 30.0 + 1e-13, 120.5])
+        starts, ends, radii = [], [], []
+        for a0, a1 in zip(edges[:-1], edges[1:]):
+            if a1 - a0 > math.pi:
+                continue
+            if data.draw(st.booleans()):
+                starts.append(a0)
+                ends.append(a1)
+                radii.append(data.draw(st.one_of(palette, st.floats(0.0, 500.0))))
+        if not starts:
+            return
+        q = data.draw(st.sampled_from(QS))
+        self._check(_wedge_map(starts, ends, radii), q)
+
+    def test_empty_map(self):
+        cov = _wedge_map([], [], [])
+        assert self._check(cov, 4).shape == (0, 2)
+
+
+class TestBatchedCommonBorders:
+    """One membership call per map against the pair-by-pair loop."""
+
+    @staticmethod
+    def _check(maps, commons):
+        expected = pairwise_common_borders(maps)
+        assert list(commons) == list(expected)
+        for pair, points in expected.items():
+            assert commons[pair].pair == pair
+            assert_bitwise(commons[pair].points, points)
+            assert_bitwise(common_border_points(maps[pair[0]], maps[pair[1]]).points, points)
+
+    @pytest.mark.parametrize("seed", [11, 19, 31, 100])
+    def test_small_city(self, seed):
+        scn = small_city_scenario(seed=seed, k=6)
+        self._check(*build_all_coverage(scn))
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_default_city(self, seed):
+        from skypath.scenario import build_default_scenario, place_base_stations
+
+        base = build_default_scenario(seed=1, k=25)
+        stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=seed)
+        maps, commons = build_all_coverage(base.with_base_stations(stations))
+        assert commons
+        self._check(maps, commons)
+
+    def test_pairs_keep_argument_order(self, params, empty_city):
+        a = build_coverage_map(BaseStation(9, Point3(900, 1000, 20.0)), empty_city, params)
+        b = build_coverage_map(BaseStation(2, Point3(1300, 1000, 20.0)), empty_city, params)
+        ab, ba = common_border_points(a, b), common_border_points(b, a)
+        assert ab.pair == (9, 2) and ba.pair == (2, 9)
+        n_a = int(points_in_coverage(a.border_points, b).sum())
+        assert_bitwise(ab.points[:n_a], ba.points[-n_a:])
+        assert_bitwise(ab.points[n_a:], ba.points[:-n_a])
+
+    def test_empty_and_borderless_maps_share_nothing(self, params, empty_city):
+        a = build_coverage_map(BaseStation(1, Point3(1000, 1000, 20.0)), empty_city, params)
+        empty = _wedge_map([], [], [], center=(1000.0, 1000.0))
+        flat = _wedge_map([1.0, 2.0], [2.0, 3.0], [0.0, 0.0], center=(1000.0, 1000.0))
+        assert common_border_points(a, empty).points.shape == (0, 2)
+        # a map with no border points still holds the other map's points at its apex
+        cb = common_border_points(a, flat)
+        assert_bitwise(cb.points, a.border_points[points_in_coverage(a.border_points, flat)])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from skypath import evaluation
 from skypath.evaluation import (
     MonteCarloConfig,
     evaluate_planners,
@@ -16,7 +17,7 @@ from skypath.evaluation import (
 )
 from skypath.geometry import Point3
 from skypath.planner import Trajectory, straight_line_plan
-from skypath.scenario import default_mission
+from skypath.scenario import PlacementError, default_mission
 
 from conftest import open_field_scenario, small_city_scenario
 
@@ -155,6 +156,34 @@ class TestMonteCarlo:
         seq = run_monte_carlo(scn, MonteCarloConfig(trials=3, base_seed=4, jobs=1))
         par = run_monte_carlo(scn, MonteCarloConfig(trials=3, base_seed=4, jobs=2))
         assert key(seq) == key(par)
+
+    def test_failing_trial_recorded_as_infeasible_rows(self, monkeypatch):
+        place = evaluation.place_base_stations
+
+        def place_or_fail(*args, seed, **kwargs):
+            if seed == 6:
+                raise PlacementError("street area too small")
+            return place(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evaluation, "place_base_stations", place_or_fail)
+        scn = small_city_scenario(seed=3, k=4)
+        planners = ("straight", "base", "optimized")
+        cfg = MonteCarloConfig(trials=3, base_seed=5, planners=planners, jobs=1)
+        rows = run_monte_carlo(scn, cfg)
+        assert [(r.seed, r.planner) for r in rows] == [
+            (seed, p) for seed in (5, 6, 7) for p in planners
+        ]
+        bad = [r for r in rows if r.seed == 6]
+        assert all(
+            not r.feasible and r.length_m is None and r.outage is None
+            and r.nodes is None and r.edges is None
+            and r.note == "PlacementError: street area too small"
+            for r in bad
+        )
+        assert all(r.note != bad[0].note for r in rows if r.seed != 6)
+        assert [r.feasible for r in rows if r.planner == "straight" and r.seed != 6] == [
+            True, True
+        ]
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
