@@ -15,6 +15,13 @@ closed form
 where r_los / r_nlos are the LoS / NLoS disk radii and the first blocking
 radius of one building is (entry distance) * (h - h_g) / (roof - h_g).
 
+The certified radii and the direct model's fan test both take the first
+blocking radius min_b factor_b * t0_b(theta) from one kernel, evaluating each
+building only over its own azimuth span, with every span computed in one
+pass of array operations. It agrees exactly with the generic
+per-segment slab test, except where a segment touches a footprint only at a
+corner, whose touch the two round differently.
+
 Wedge radii are certified per azimuth cell: the infimum of R over the whole
 cell is computed exactly (entry distances at cell edges plus corner and
 perpendicular-foot critical azimuths), then shaved by a small safety margin,
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -47,7 +55,6 @@ from .geometry import (
     CircularSector,
     Point3,
     point_sector_distance,
-    ray_rect_entry,
     segments_clear_buildings,
 )
 from .scenario import BaseStation, CityMap, InvalidConfigError, RadioParams, Scenario
@@ -62,6 +69,12 @@ MARCH_STEP = 0.5
 # Claimed radii are shaved by this margin so boundary points keep a strictly
 # positive SNR margin under the grazing-counts-as-blocked rule.
 RADIUS_SAFETY = 0.01
+# Pad, in rad, on each side of a building's subtended azimuth span and of
+# each critical azimuth a certified cell must cover.
+AZIMUTH_GUARD = 1e-9
+# (azimuth, building) pairs per batch of the blocking sweep; small enough to
+# keep the batch's temporaries in cache.
+SWEEP_BATCH = 16_384
 
 
 class LinkState(Enum):
@@ -136,20 +149,115 @@ def snr_per_station(points_xy: np.ndarray, bs: BaseStation, params: RadioParams,
     return params.tx_power_over_noise * beta * d ** (-alpha)
 
 
+_Blockers = namedtuple("_Blockers", "x0 x1 y0 y1 factor crit_az crit_d")
+
+
+def _blockers(center, city: CityMap, params: RadioParams, reach: float) -> _Blockers:
+    """The buildings that can block a link from the station within ``reach``.
+
+    A link is lowest over a footprint where it enters it, and it cannot be
+    blocked before it gets there, so a roof first blocks at factor * t0, with
+    t0 the ray's entry distance and factor = max((h - h_g) / (roof + GEOM_EPS
+    - h_g), 1). Returns the footprint extents minus the station's coordinates,
+    the factors, and the azimuths in [0, 2*pi) and distances of each
+    footprint's four corners and nearest point, as the rows of (5, nb) arrays.
+    """
+    arrs = city.building_arrays()
+    cx, cy = center
+    rise = arrs.h + GEOM_EPS - params.bs_height
+    tall = np.flatnonzero(rise > 0.0)
+    factor = np.maximum((params.uav_altitude - params.bs_height) / rise[tall], 1.0)
+    x0, x1 = arrs.x0[tall] - cx, arrs.x1[tall] - cx
+    y0, y1 = arrs.y0[tall] - cy, arrs.y1[tall] - cy
+    near_x, near_y = np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)
+    keep = factor * np.hypot(near_x, near_y) <= reach
+    x0, x1, y0, y1, near_x, near_y = (a[keep] for a in (x0, x1, y0, y1, near_x, near_y))
+    crit_x = np.stack([x0, x0, x1, x1, near_x])
+    crit_y = np.stack([y0, y1, y0, y1, near_y])
+    crit_az = np.arctan2(crit_y, crit_x)
+    crit_az = np.where(crit_az < 0.0, crit_az + TWO_PI, crit_az)
+    return _Blockers(x0, x1, y0, y1, factor[keep], crit_az, np.hypot(crit_x, crit_y))
+
+
+def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
+    """min over buildings b of factor_b * t0_b(theta) at sorted azimuths in [0, 2*pi].
+
+    t0_b(theta) is the entry distance of the ray from the station at azimuth
+    theta into b's footprint, +inf where the ray misses it, found by the slab
+    clip of ``geometry.segments_clear_buildings`` along (cos theta, sin theta).
+    The link to the point at polar (theta, r) is blocked when r >= the
+    returned value. Each building is evaluated only at the azimuths
+    inside its subtended span, padded by AZIMUTH_GUARD (every azimuth when its
+    closed footprint holds the station): the spans and their ``searchsorted``
+    bounds come from one pass of array operations, and the (azimuth, building)
+    pairs are expanded in batches of SWEEP_BATCH.
+    """
+    out = np.full(az.size, np.inf)
+    nb = blk.factor.size
+    if az.size == 0 or nb == 0:
+        return out
+    near = blk.crit_az[4]
+    rel = (blk.crit_az[:4] - near + math.pi) % TWO_PI - math.pi
+    lo = near + rel.min(axis=0) - AZIMUTH_GUARD
+    hi = near + rel.max(axis=0) + AZIMUTH_GUARD
+    around = blk.crit_d[4] == 0.0
+    lo[around], hi[around] = 0.0, TWO_PI
+    # Each span and its copies shifted by -2*pi and 2*pi, as runs of sorted azimuths.
+    shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])
+    first = np.searchsorted(az, (lo + shift).ravel(), side="left")
+    count = np.searchsorted(az, (hi + shift).ravel(), side="right") - first
+    runs = np.flatnonzero(count > 0)
+    owner, first, count = runs % nb, first[runs], count[runs]
+    ends = np.cumsum(count)
+    offset = first - (ends - count)  # azimuth index minus pair index, per run
+
+    cos_a, sin_a = np.cos(az), np.sin(az)
+    # A zero direction (sin at azimuth 0) leaves its slab unbounded when the
+    # station lies inside it and empty otherwise.
+    zero_x, zero_y = cos_a == 0.0, sin_a == 0.0
+    patch = bool(zero_x.any() or zero_y.any())
+    cos_a[zero_x], sin_a[zero_y] = 1.0, 1.0
+    inside_x = (blk.x0 <= 0.0) & (blk.x1 >= 0.0)
+    inside_y = (blk.y0 <= 0.0) & (blk.y1 >= 0.0)
+    axes = ((blk.x0, blk.x1, cos_a, zero_x, inside_x), (blk.y0, blk.y1, sin_a, zero_y, inside_y))
+
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, SWEEP_BATCH):
+        e = min(s + SWEEP_BATCH, total)
+        r0 = np.searchsorted(ends, s, side="right")
+        r1 = np.searchsorted(ends, e, side="left") + 1
+        k = np.minimum(ends[r0:r1], e) - np.maximum(ends[r0:r1] - count[r0:r1], s)
+        b = np.repeat(owner[r0:r1], k)
+        i = np.arange(s, e) + np.repeat(offset[r0:r1], k)
+        slabs = []
+        for lo_b, hi_b, d, zero, inside in axes:
+            di = d[i]
+            t1, t2 = lo_b[b] / di, hi_b[b] / di
+            tmin, tmax = np.minimum(t1, t2), np.maximum(t1, t2)
+            if patch:
+                z, ins = zero[i], inside[b]
+                tmin = np.where(z, np.where(ins, -np.inf, np.inf), tmin)
+                tmax = np.where(z, np.where(ins, np.inf, -np.inf), tmax)
+            slabs.append((tmin, tmax))
+        (txmin, txmax), (tymin, tymax) = slabs
+        t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
+        t_hi = np.minimum(txmax, tymax)
+        np.minimum.at(out, i, np.where(t_lo <= t_hi, blk.factor[b] * t_lo, np.inf))
+    return out
+
+
 def fan_blocked(center, points_xy: np.ndarray, city: CityMap, params: RadioParams) -> np.ndarray:
     """Blocking test for a fan of station-to-point segments, one shared station.
 
-    Exactly equivalent to the generic per-segment slab test: a roof blocks the
-    segment to a point at polar (az, r) around the station projection iff the
-    footprint's ray entry distance t0 at that azimuth satisfies
-    r >= t0 * max(1, climb / (roof + eps - h_g)). Buildings are processed over
-    the azimuth-sorted points restricted to each footprint's subtended span.
+    The segment to a point at polar (az, r) around the station projection is
+    blocked iff r >= ``_first_blocking_radius`` at az. This agrees with the
+    generic per-segment slab test except for a segment through a corner at an
+    end of a footprint's subtended span, where the two round differently.
     """
     xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
     n = xy.shape[0]
     blocked = np.zeros(n, dtype=bool)
-    arrs = city.building_arrays()
-    if len(arrs) == 0 or n == 0:
+    if n == 0:
         return blocked
     cx, cy = center
     dx = xy[:, 0] - cx
@@ -158,71 +266,9 @@ def fan_blocked(center, points_xy: np.ndarray, city: CityMap, params: RadioParam
     az = np.arctan2(dy, dx)
     az = np.where(az < 0.0, az + TWO_PI, az)
     order = np.argsort(az, kind="stable")
-    az_s = az[order]
-    r_s = r[order]
-    cos_s = np.cos(az_s)
-    sin_s = np.sin(az_s)
-    r_max = float(r_s.max())
-
-    climb = params.uav_altitude - params.bs_height
-    h_eff = arrs.h + GEOM_EPS
-    can_block = h_eff > params.bs_height
-    with np.errstate(divide="ignore"):
-        factor = np.where(can_block, climb / (h_eff - params.bs_height), np.inf)
-    factor = np.maximum(factor, 1.0)
-    ndx = np.maximum(np.maximum(arrs.x0 - cx, cx - arrs.x1), 0.0)
-    ndy = np.maximum(np.maximum(arrs.y0 - cy, cy - arrs.y1), 0.0)
-    d_rect = np.hypot(ndx, ndy)
-    keep = can_block & (factor * d_rect <= r_max)
-
-    pad = 1e-9
-    for b in np.flatnonzero(keep):
-        x0, x1 = arrs.x0[b], arrs.x1[b]
-        y0, y1 = arrs.y0[b], arrs.y1[b]
-        near_az = math.atan2(
-            min(max(cy, y0), y1) - cy, min(max(cx, x0), x1) - cx
-        )
-        rel = np.arctan2(
-            np.array([y0, y0, y1, y1]) - cy, np.array([x0, x1, x0, x1]) - cx
-        ) - near_az
-        rel = (rel + math.pi) % TWO_PI - math.pi
-        lo = near_az + rel.min() - pad
-        hi = near_az + rel.max() + pad
-        for a0, a1 in _unwrap_ranges(lo, hi):
-            i = np.searchsorted(az_s, a0, side="left")
-            j = np.searchsorted(az_s, a1, side="right")
-            if i >= j:
-                continue
-            sl = slice(i, j)
-            txmin, txmax = _slab_1d(cx, cos_s[sl], x0, x1)
-            tymin, tymax = _slab_1d(cy, sin_s[sl], y0, y1)
-            t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
-            t_hi = np.minimum(txmax, tymax)
-            hit = t_lo <= t_hi
-            blocked_here = hit & (r_s[sl] >= t_lo * factor[b])
-            if blocked_here.any():
-                blocked[order[sl][blocked_here]] = True
+    blk = _blockers(center, city, params, float(r.max()))
+    blocked[order] = r[order] >= _first_blocking_radius(az[order], blk)
     return blocked
-
-
-def _slab_1d(a: float, d: np.ndarray, lo: float, hi: float):
-    zero = d == 0.0
-    safe = np.where(zero, 1.0, d)
-    t1 = (lo - a) / safe
-    t2 = (hi - a) / safe
-    inside = lo <= a <= hi
-    tmin = np.where(zero, -np.inf if inside else np.inf, np.minimum(t1, t2))
-    tmax = np.where(zero, np.inf if inside else -np.inf, np.maximum(t1, t2))
-    return tmin, tmax
-
-
-def _unwrap_ranges(lo: float, hi: float):
-    """Split an angle interval into in-range pieces of [0, 2*pi)."""
-    if lo < 0.0:
-        return ((lo + TWO_PI, TWO_PI + 1e-12), (0.0, hi))
-    if hi >= TWO_PI:
-        return ((lo, TWO_PI + 1e-12), (0.0, hi - TWO_PI))
-    return ((lo, hi),)
 
 
 def network_covered(points_xy: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -391,25 +437,6 @@ def distance_to_coverage(p, cov: CoverageMap) -> float:
     return min(point_sector_distance(p, s) for s in cov.sectors)
 
 
-def _blocking_terms(center, city: CityMap, params: RadioParams, r_los: float):
-    """Per-building blocking factor and pruned arrays around one station."""
-    arrs = city.building_arrays()
-    if len(arrs) == 0:
-        return None
-    cx, cy = center
-    climb = params.uav_altitude - params.bs_height
-    h_eff = arrs.h + GEOM_EPS
-    ndx = np.maximum(np.maximum(arrs.x0 - cx, cx - arrs.x1), 0.0)
-    ndy = np.maximum(np.maximum(arrs.y0 - cy, cy - arrs.y1), 0.0)
-    d_rect = np.hypot(ndx, ndy)
-    with np.errstate(divide="ignore"):
-        factor = np.where(h_eff > params.bs_height, climb / (h_eff - params.bs_height), np.inf)
-    keep = np.isfinite(factor) & (factor * d_rect < r_los)
-    if not keep.any():
-        return None
-    return _crop_mask(arrs, keep), factor[keep]
-
-
 def azimuth_coverage_radius(bs: BaseStation, theta: float, city: CityMap,
                             params: RadioParams) -> float:
     """Largest r with the whole radial segment out to r meeting the threshold.
@@ -421,15 +448,8 @@ def azimuth_coverage_radius(bs: BaseStation, theta: float, city: CityMap,
     r_nlos = math.sqrt(coverage_disk_radius_sq(params, LinkState.NLOS))
     if r_los <= 0.0:
         return 0.0
-    terms = _blocking_terms(bs.xy, city, params, r_los)
-    if terms is None:
-        return r_los
-    local, factor = terms
-    cx, cy = bs.xy
-    ux = np.array([[math.cos(theta)]])
-    uy = np.array([[math.sin(theta)]])
-    t0 = ray_rect_entry(cx, cy, ux, uy, local.x0, local.x1, local.y0, local.y1)[0]
-    first_block = float((factor * t0).min()) if t0.size else math.inf
+    blk = _blockers(bs.xy, city, params, r_los)
+    first_block = float(_first_blocking_radius(np.array([theta % TWO_PI]), blk)[0])
     return min(r_los, max(r_nlos, first_block))
 
 
@@ -440,46 +460,25 @@ def _certified_cell_radii(center, city: CityMap, params: RadioParams, n_cells: i
     factor_b * t0_b(theta) with t0 the ray entry distance into the footprint.
     t0 is quasiconvex on the azimuth span that hits the footprint, so its
     infimum over a cell sits at a cell edge, a footprint corner azimuth, or
-    the nearest-point azimuth; all are evaluated exactly.
+    the nearest-point azimuth; all are evaluated exactly. Rounding is
+    monotone, so fl(f * min(x, y)) = min(fl(f * x), fl(f * y)): taking the
+    minimum over a cell's edges and critical azimuths after scaling by the
+    factor gives the same bits as taking it before.
     """
     r_los = math.sqrt(coverage_disk_radius_sq(params, LinkState.LOS))
     r_nlos = math.sqrt(coverage_disk_radius_sq(params, LinkState.NLOS))
     if r_los <= 0.0:
         return np.zeros(n_cells)
-    terms = _blocking_terms(center, city, params, r_los)
-    if terms is None:
-        return np.full(n_cells, r_los)
-    local, factor = terms
-    cx, cy = center
-    nb = len(local)
+    blk = _blockers(center, city, params, r_los)
+    at_edges = _first_blocking_radius(np.linspace(0.0, TWO_PI, n_cells + 1), blk)
+    first_block = np.minimum(at_edges[:-1], at_edges[1:])
+
     step = TWO_PI / n_cells
-
-    edges = np.linspace(0.0, TWO_PI, n_cells + 1)
-    ux = np.cos(edges)[:, None]
-    uy = np.sin(edges)[:, None]
-    t0_edges = ray_rect_entry(cx, cy, ux, uy, local.x0, local.x1, local.y0, local.y1)
-    cell_min = np.minimum(t0_edges[:-1], t0_edges[1:])  # (n_cells, nb)
-
-    # Critical interior azimuths: 4 footprint corners + the nearest point.
-    corner_x = np.stack([local.x0, local.x0, local.x1, local.x1])
-    corner_y = np.stack([local.y0, local.y1, local.y0, local.y1])
-    near_x = np.clip(cx, local.x0, local.x1)
-    near_y = np.clip(cy, local.y0, local.y1)
-    crit_x = np.concatenate([corner_x, near_x[None, :]], axis=0) - cx  # (5, nb)
-    crit_y = np.concatenate([corner_y, near_y[None, :]], axis=0) - cy
-    crit_az = np.arctan2(crit_y, crit_x)
-    crit_az = np.where(crit_az < 0.0, crit_az + TWO_PI, crit_az)
-    crit_d = np.hypot(crit_x, crit_y)
-
-    b_idx = np.broadcast_to(np.arange(nb), crit_az.shape).ravel()
-    az_flat = crit_az.ravel()
-    d_flat = crit_d.ravel()
-    guard = 1e-9
-    for shift in (-guard, 0.0, guard):
-        cells = np.floor((az_flat + shift) / step).astype(int) % n_cells
-        np.minimum.at(cell_min, (cells, b_idx), d_flat)
-
-    first_block = (factor[None, :] * cell_min).min(axis=1)
+    crit_az = blk.crit_az.ravel()
+    crit_block = (blk.factor * blk.crit_d).ravel()
+    for shift in (-AZIMUTH_GUARD, 0.0, AZIMUTH_GUARD):
+        cells = np.floor((crit_az + shift) / step).astype(int) % n_cells
+        np.minimum.at(first_block, cells, crit_block)
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
 
 

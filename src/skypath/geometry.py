@@ -208,20 +208,6 @@ def segment_clears_buildings(a: Point3, b: Point3, city) -> bool:
     return bool(segments_clear_buildings(a.as_array(), b.as_array(), city)[0])
 
 
-def ray_rect_entry(ox, oy, ux, uy, x0, x1, y0, y1):
-    """Entry distance of rays (o + t*u, t >= 0) into axis-aligned rectangles.
-
-    Broadcasts ray terms of shape (n, 1) against rectangle columns of shape
-    (m,). Returns t of shape (n, m), +inf where the ray misses.
-    """
-    txmin, txmax = _slab_interval(ox, ux, x0, x1)
-    tymin, tymax = _slab_interval(oy, uy, y0, y1)
-    t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
-    t_hi = np.minimum(txmax, tymax)
-    hit = t_lo <= t_hi
-    return np.where(hit, t_lo, np.inf)
-
-
 # ---------------------------------------------------------------------------
 # sector predicates
 # ---------------------------------------------------------------------------

@@ -241,3 +241,89 @@ def pairwise_common_borders(maps) -> dict:
             if points.shape[0]:
                 out[(k, j)] = points
     return out
+
+
+def _slab_interval_oracle(a, d, lo, hi):
+    """Per-axis slab clip: parameter interval where a + t*d lies in [lo, hi]."""
+    zero = d == 0.0
+    safe_d = np.where(zero, 1.0, d)
+    t1 = (lo - a) / safe_d
+    t2 = (hi - a) / safe_d
+    tmin = np.minimum(t1, t2)
+    tmax = np.maximum(t1, t2)
+    inside = (a >= lo) & (a <= hi)
+    tmin = np.where(zero, np.where(inside, -np.inf, np.inf), tmin)
+    tmax = np.where(zero, np.where(inside, np.inf, -np.inf), tmax)
+    return tmin, tmax
+
+
+def ray_rect_entry_oracle(ox, oy, ux, uy, x0, x1, y0, y1):
+    """Entry distance of rays (n, 1) into rectangles (m,); +inf where a ray misses."""
+    txmin, txmax = _slab_interval_oracle(ox, ux, x0, x1)
+    tymin, tymax = _slab_interval_oracle(oy, uy, y0, y1)
+    t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
+    t_hi = np.minimum(txmax, tymax)
+    return np.where(t_lo <= t_hi, t_lo, np.inf)
+
+
+def certified_radii_oracle(center, city, params, n_cells):
+    """Reference for ``coverage._certified_cell_radii``: a dense cell-edge x
+    building matrix of ray entry distances, every building at every edge.
+
+    Each building's factor is climb / (roof + GEOM_EPS - h_g), without a floor
+    of 1, which differs only for roofs within GEOM_EPS of the flight altitude.
+    """
+    from skypath.coverage import LinkState, coverage_disk_radius_sq
+    from skypath.geometry import GEOM_EPS
+
+    two_pi = 2.0 * math.pi
+    r_los = math.sqrt(coverage_disk_radius_sq(params, LinkState.LOS))
+    r_nlos = math.sqrt(coverage_disk_radius_sq(params, LinkState.NLOS))
+    if r_los <= 0.0:
+        return np.zeros(n_cells)
+    arrs = city.building_arrays()
+    if len(arrs) == 0:
+        return np.full(n_cells, r_los)
+    cx, cy = center
+    climb = params.uav_altitude - params.bs_height
+    h_eff = arrs.h + GEOM_EPS
+    ndx = np.maximum(np.maximum(arrs.x0 - cx, cx - arrs.x1), 0.0)
+    ndy = np.maximum(np.maximum(arrs.y0 - cy, cy - arrs.y1), 0.0)
+    d_rect = np.hypot(ndx, ndy)
+    with np.errstate(divide="ignore"):
+        factor = np.where(h_eff > params.bs_height, climb / (h_eff - params.bs_height), np.inf)
+    keep = np.isfinite(factor) & (factor * d_rect < r_los)
+    if not keep.any():
+        return np.full(n_cells, r_los)
+    x0, x1, y0, y1 = arrs.x0[keep], arrs.x1[keep], arrs.y0[keep], arrs.y1[keep]
+    factor = factor[keep]
+    nb = x0.size
+    step = two_pi / n_cells
+
+    edges = np.linspace(0.0, two_pi, n_cells + 1)
+    ux = np.cos(edges)[:, None]
+    uy = np.sin(edges)[:, None]
+    t0_edges = ray_rect_entry_oracle(cx, cy, ux, uy, x0, x1, y0, y1)
+    cell_min = np.minimum(t0_edges[:-1], t0_edges[1:])  # (n_cells, nb)
+
+    # Critical interior azimuths: 4 footprint corners + the nearest point.
+    corner_x = np.stack([x0, x0, x1, x1])
+    corner_y = np.stack([y0, y1, y0, y1])
+    near_x = np.clip(cx, x0, x1)
+    near_y = np.clip(cy, y0, y1)
+    crit_x = np.concatenate([corner_x, near_x[None, :]], axis=0) - cx  # (5, nb)
+    crit_y = np.concatenate([corner_y, near_y[None, :]], axis=0) - cy
+    crit_az = np.arctan2(crit_y, crit_x)
+    crit_az = np.where(crit_az < 0.0, crit_az + two_pi, crit_az)
+    crit_d = np.hypot(crit_x, crit_y)
+
+    b_idx = np.broadcast_to(np.arange(nb), crit_az.shape).ravel()
+    az_flat = crit_az.ravel()
+    d_flat = crit_d.ravel()
+    guard = 1e-9
+    for shift in (-guard, 0.0, guard):
+        cells = np.floor((az_flat + shift) / step).astype(int) % n_cells
+        np.minimum.at(cell_min, (cells, b_idx), d_flat)
+
+    first_block = (factor[None, :] * cell_min).min(axis=1)
+    return np.minimum(r_los, np.maximum(r_nlos, first_block))

@@ -20,16 +20,18 @@ from skypath.coverage import (
     snr,
     snr_per_station,
 )
-from skypath.geometry import Building, Point3
+from skypath.geometry import GEOM_EPS, Building, Point3
 from skypath.scenario import BaseStation, CityMap, default_radio_params
 
 from conftest import (
     border_walk_oracle,
     cell_merge_oracle,
+    certified_radii_oracle,
     direct_snr_max,
     march_coverage_radius,
     open_field_scenario,
     pairwise_common_borders,
+    ray_rect_entry_oracle,
     small_city_scenario,
 )
 
@@ -131,6 +133,41 @@ class TestCoverageDiskRadius:
         assert coverage_disk_radius_sq(harsh, LinkState.NLOS) == 0.0
 
 
+RINGED = (
+    Building(1010, 1020, 900, 1100, 70.0),
+    Building(980, 990, 900, 1100, 70.0),
+    Building(990, 1010, 1010, 1020, 70.0),
+    Building(990, 1010, 980, 990, 70.0),
+)
+# Hand-built layouts around a station at (1000, 1000).
+CERTIFIED_LAYOUTS = {
+    "straddles azimuth 0": (
+        Building(1100.0, 1160.0, 960.0, 1040.0, 55.0),
+        Building(1300.0, 1320.0, 999.0, 1001.0, 75.0),
+    ),
+    # corners at multiples of 45 degrees lie exactly on 0.5-degree cell edges
+    "corner on a cell edge": (
+        Building(1050.0, 1100.0, 1100.0, 1160.0, 65.0),
+        Building(1100.0, 1140.0, 1100.0, 1130.0, 60.0),
+        Building(860.0, 900.0, 1100.0, 1150.0, 55.0),
+        Building(1100.0, 1160.0, 850.0, 900.0, 45.0),
+        Building(700.0, 900.0, 800.0, 900.0, 30.0),
+    ),
+    "ringed station": RINGED,
+    "shares an x or y coordinate": (
+        Building(1000.0, 1040.0, 1100.0, 1160.0, 50.0),
+        Building(950.0, 1000.0, 800.0, 900.0, 45.0),
+        Building(1200.0, 1260.0, 1000.0, 1050.0, 65.0),
+        Building(700.0, 780.0, 940.0, 1000.0, 35.0),
+    ),
+    "station on a footprint edge": (
+        Building(940.0, 1000.0, 970.0, 1030.0, 50.0),
+        Building(1200.0, 1260.0, 1000.0, 1050.0, 65.0),
+    ),
+    "station inside a footprint": (Building(980.0, 1010.0, 990.0, 1040.0, 50.0),),
+}
+
+
 class TestAzimuthCoverageRadius:
     def test_open_field_equals_los_radius(self, params, empty_city, bs):
         for theta in (0.0, 1.0, 4.5):
@@ -148,13 +185,7 @@ class TestAzimuthCoverageRadius:
 
     def test_ringed_station_falls_back_to_nlos_radius(self, params):
         # over-height ring 10 m out: LoS dies immediately, NLoS disk remains
-        walls = (
-            Building(1010, 1020, 900, 1100, 70.0),
-            Building(980, 990, 900, 1100, 70.0),
-            Building(990, 1010, 1010, 1020, 70.0),
-            Building(990, 1010, 980, 990, 70.0),
-        )
-        city = CityMap(2000, 2000, walls)
+        city = CityMap(2000, 2000, RINGED)
         bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
         for theta in np.linspace(0, 2 * math.pi, 17):
             r = azimuth_coverage_radius(bs_c, theta, city, params)
@@ -169,6 +200,81 @@ class TestAzimuthCoverageRadius:
             marched = march_coverage_radius(bs_c, theta, scn, dr=MARCH_STEP)
             assert marched <= exact + 1e-9
             assert exact - marched <= MARCH_STEP + 1e-9
+
+
+class TestCertifiedRadii:
+    """The span-restricted kernel against the dense edge x building matrix."""
+
+    @staticmethod
+    def _check(stations, city, params):
+        from skypath.coverage import _certified_cell_radii
+
+        for bs_c in stations:
+            assert_bitwise(_certified_cell_radii(bs_c.xy, city, params, 720),
+                           certified_radii_oracle(bs_c.xy, city, params, 720))
+
+    @pytest.mark.parametrize("seed", [11, 19, 23, 29])
+    def test_small_city(self, seed, params):
+        scn = small_city_scenario(seed=seed, k=6)
+        self._check(scn.base_stations, scn.city, params)
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_default_city(self, seed, params):
+        from skypath.scenario import build_default_scenario, place_base_stations
+
+        base = build_default_scenario(seed=1, k=25)
+        stations = place_base_stations(base.city, k=25, h_g=params.bs_height, seed=seed)
+        self._check(stations, base.city, params)
+
+    @pytest.mark.parametrize("layout", list(CERTIFIED_LAYOUTS))
+    def test_hand_built(self, layout, params):
+        city = CityMap(2000, 2000, CERTIFIED_LAYOUTS[layout])
+        bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
+        self._check([bs_c], city, params)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_near_corner_azimuths(self, seed, params):
+        # A ray a few ulps outside a footprint's subtended span can still hit
+        # it after rounding; the span's pad must keep such azimuths in.
+        from skypath.coverage import _blockers, _first_blocking_radius
+
+        rng = np.random.default_rng(seed)
+        _, station, buildings, _, _ = next(c for c in _fan_cases() if c[0] == "random footprints")
+        center = tuple(np.asarray(station) + rng.uniform(-0.5, 0.5, size=2))
+        blk = _blockers(center, CityMap(2000, 2000, buildings), params, np.inf)
+        corner_az = blk.crit_az[:4].ravel()
+        ulps = np.arange(-6, 7)[None, :] * np.spacing(corner_az)[:, None]
+        az = np.sort((corner_az[:, None] + ulps).ravel())
+        az = az[(az >= 0.0) & (az <= 2 * math.pi)]
+        t0 = ray_rect_entry_oracle(0.0, 0.0, np.cos(az)[:, None], np.sin(az)[:, None],
+                                   blk.x0, blk.x1, blk.y0, blk.y1)
+        assert_bitwise(_first_blocking_radius(az, blk), (blk.factor * t0).min(axis=1))
+
+    @pytest.mark.parametrize("delta", [
+        5e-10,
+        pytest.param(2e-9, marks=pytest.mark.xfail(strict=True, reason=(
+            "membership grants GEOM_EPS/r rad of slack past a wedge edge, while a"
+            " cell is certified only 1e-9 rad past its critical azimuths"))),
+        5e-9,
+    ])
+    def test_claimed_probes_past_a_cell_edge_meet_threshold(self, delta, params):
+        # A 20 x 20 x 70 m building whose (x1, y0) corner lies 150 m out at
+        # azimuth e + delta, just past the edge e between cells 36 and 37.
+        # Probes at 200-400 m between e and e + GEOM_EPS/r sit in the slack
+        # that membership grants past the end of the wedge holding cell 36.
+        edge = np.linspace(0.0, 2 * math.pi, 721)[37]
+        x1 = 1000.0 + 150.0 * math.cos(edge + delta)
+        y0 = 1000.0 + 150.0 * math.sin(edge + delta)
+        city = CityMap(2000, 2000, (Building(x1 - 20.0, x1, y0, y0 + 20.0, 70.0),))
+        bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
+        cov = build_coverage_map(bs_c, city, params)
+        r, frac = np.meshgrid(np.linspace(200.0, 400.0, 41), np.linspace(0.0, 1.0, 41))
+        theta = edge + frac * GEOM_EPS / r
+        pts = np.column_stack([(1000.0 + r * np.cos(theta)).ravel(),
+                               (1000.0 + r * np.sin(theta)).ravel()])
+        claimed = points_in_coverage(pts, cov)
+        below = snr_per_station(pts, bs_c, params, city) < params.snr_threshold
+        assert not (claimed & below).any()
 
 
 class TestBuildCoverageMap:
@@ -368,22 +474,82 @@ class TestCommonBorders:
             assert points_in_coverage(cb.points, maps[j]).all()
 
 
+def _fan_cases():
+    """(name, station, buildings, points, grazing) inputs of the fan-blocking oracle.
+
+    ``grazing`` marks points whose segment passes exactly through a corner at
+    one end of a footprint's subtended span, touching the footprint at that
+    corner alone. Whether the touch counts then rests on rounding, which the
+    fan (along cos/sin of the azimuth) and the generic test (along the
+    point-to-station difference) do differently; every other point must agree.
+    """
+    station = (1000.0, 1000.0)
+    rng = np.random.default_rng(21)
+    # building due east of the station: its subtended span straddles azimuth zero
+    east = Building(1100.0, 1160.0, 960.0, 1040.0, 55.0)
+    yield "across the wrap", station, (east,), rng.uniform(0, 2000, size=(3000, 2)), None
+
+    # one random footprint in each 80 m cell of a grid with a corner at the station
+    cells = np.array([(x, y) for x in range(520, 1480, 80) for y in range(520, 1480, 80)])
+    lo = cells + rng.uniform(1.0, 30.0, size=cells.shape)
+    hi = lo + rng.uniform(5.0, 49.0, size=cells.shape)
+    random = tuple(
+        Building(x0, x1, y0, y1, h)
+        for (x0, y0), (x1, y1), h in zip(lo, hi, rng.uniform(10.0, 79.0, size=len(cells)))
+    )
+    yield "random footprints", station, random, rng.uniform(400, 1600, size=(4000, 2)), None
+
+    # Due east and due west: sin(azimuth 0) is exactly 0. Two footprints share
+    # the station's y coordinate, so the zero direction runs inside their slab.
+    sharing = (
+        east,
+        Building(1200.0, 1250.0, 1000.0, 1030.0, 40.0),
+        Building(1300.0, 1350.0, 970.0, 1000.0, 65.0),
+        Building(700.0, 760.0, 1000.0, 1040.0, 60.0),
+    )
+    r = np.linspace(0.0, 800.0, 1601)
+    line = np.concatenate([np.column_stack([1000.0 + r, np.full_like(r, 1000.0)]),
+                           np.column_stack([1000.0 - r, np.full_like(r, 1000.0)])])
+    yield "due east", station, sharing, line, None
+
+    corner_buildings = (
+        *sharing,
+        Building(1050.0, 1100.0, 1100.0, 1160.0, 65.0),
+        Building(860.0, 900.0, 1100.0, 1150.0, 55.0),
+        Building(1100.0, 1160.0, 850.0, 900.0, 45.0),
+        Building(930.0, 980.0, 700.0, 760.0, 70.0),
+    )
+    t = np.linspace(0.2, 5.0, 97)
+    corners = np.array([(x, y) for b in corner_buildings
+                        for x in (b.x_min, b.x_max) for y in (b.y_min, b.y_max)])
+    offsets = (corners - station).reshape(-1, 4, 2)
+    az = np.arctan2(offsets[..., 1], offsets[..., 0])
+    rel = (az - az.mean(axis=1, keepdims=True) + math.pi) % (2 * math.pi) - math.pi
+    extreme = ((rel == rel.min(axis=1, keepdims=True))
+               | (rel == rel.max(axis=1, keepdims=True))).ravel()
+    rays = (np.asarray(station) + t[:, None, None] * (corners - station)).reshape(-1, 2)
+    grazing = (extreme[None, :] & (t[:, None] >= 1.0)).ravel()
+    yield "corner azimuths", station, corner_buildings, rays, grazing
+
+    # the station on the east edge of one footprint, then inside another
+    pts = rng.uniform(0, 2000, size=(4000, 2))
+    yield "station on an edge", station, (Building(940.0, 1000.0, 970.0, 1030.0, 50.0),), pts, None
+    yield "station inside", station, (Building(980.0, 1010.0, 990.0, 1040.0, 50.0),), pts, None
+
+
 class TestNetworkCovered:
     def test_fan_blocking_matches_generic_path_across_wrap(self, params):
-        # building due east of the station: its subtended span straddles
-        # azimuth zero, exercising the wrapped range split
         from skypath.coverage import fan_blocked
         from skypath.geometry import segments_clear_buildings
 
-        city = CityMap(2000, 2000, (Building(1100.0, 1160.0, 960.0, 1040.0, 55.0),))
-        bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
-        rng = np.random.default_rng(21)
-        pts = rng.uniform(0, 2000, size=(3000, 2))
-        fan = fan_blocked(bs_c.xy, pts, city, params)
-        p0 = np.column_stack([pts, np.full(len(pts), params.uav_altitude)])
-        p1 = np.array([1000.0, 1000.0, params.bs_height])
-        generic = ~segments_clear_buildings(p0, p1, city)
-        np.testing.assert_array_equal(fan, generic)
+        for name, station, buildings, pts, grazing in _fan_cases():
+            city = CityMap(2000, 2000, buildings)
+            fan = fan_blocked(station, pts, city, params)
+            p0 = np.column_stack([pts, np.full(len(pts), params.uav_altitude)])
+            p1 = np.array([*station, params.bs_height])
+            generic = ~segments_clear_buildings(p0, p1, city)
+            agree = slice(None) if grazing is None else ~grazing
+            np.testing.assert_array_equal(fan[agree], generic[agree], err_msg=name)
 
     def test_matches_explicit_max_snr(self, params):
         scn = small_city_scenario(seed=37, k=5)
