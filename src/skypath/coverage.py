@@ -117,6 +117,15 @@ def coverage_disk_radius_sq(params: RadioParams, state: LinkState) -> float:
     return max(0.0, term - dz2)
 
 
+def _as_points(points_xy) -> np.ndarray:
+    """Plan positions as an (n, 2) float array; an empty input gives (0, 2).
+
+    ``np.atleast_2d`` alone turns an empty list into shape (1, 0).
+    """
+    xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    return xy.reshape(0, 2) if xy.size == 0 else xy
+
+
 def _crop_mask(arrs: BuildingArrays, keep: np.ndarray) -> BuildingArrays:
     out = BuildingArrays.__new__(BuildingArrays)
     out.x0, out.x1 = arrs.x0[keep], arrs.x1[keep]
@@ -128,9 +137,11 @@ def _crop_mask(arrs: BuildingArrays, keep: np.ndarray) -> BuildingArrays:
 def snr_per_station(points_xy: np.ndarray, bs: BaseStation, params: RadioParams,
                     city: CityMap) -> np.ndarray:
     """Linear SNR from one station at many plan positions (flight altitude)."""
-    xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    xy = _as_points(points_xy)
     bx, by = bs.xy
     n = xy.shape[0]
+    if n == 0:
+        return np.empty(0)
     p0 = np.column_stack([xy, np.full(n, params.uav_altitude)])
     p1 = np.array([bx, by, params.bs_height])
     lo = np.minimum(xy.min(axis=0), [bx, by])
@@ -254,7 +265,7 @@ def fan_blocked(center, points_xy: np.ndarray, city: CityMap, params: RadioParam
     generic per-segment slab test except for a segment through a corner at an
     end of a footprint's subtended span, where the two round differently.
     """
-    xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    xy = _as_points(points_xy)
     n = xy.shape[0]
     blocked = np.zeros(n, dtype=bool)
     if n == 0:
@@ -278,7 +289,7 @@ def network_covered(points_xy: np.ndarray, scenario: Scenario) -> np.ndarray:
     expensive LoS test runs only where the NLoS disk alone cannot decide.
     """
     params = scenario.radio
-    xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    xy = _as_points(points_xy)
     n = xy.shape[0]
     if not scenario.base_stations:
         return np.zeros(n, dtype=bool)
@@ -406,7 +417,7 @@ def points_in_coverage(points_xy: np.ndarray, cov: CoverageMap) -> np.ndarray:
     The wedges are sorted and disjoint, so only the wedge bracketing a point's
     azimuth and its two neighbours (for the slack and the 2*pi wrap) can hold it.
     """
-    xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    xy = _as_points(points_xy)
     if cov.is_empty:
         return np.zeros(xy.shape[0], dtype=bool)
     starts, spans, radii = cov.starts, cov.ends - cov.starts, cov.radii
@@ -530,6 +541,17 @@ def _cells_to_wedges(radii: np.ndarray, merge_tol: float, min_radius: float):
     return tuple(np.array(w, dtype=float) for w in (starts, ends, wedge_radii))
 
 
+def check_map_settings(angular_step: float, border_samples: int) -> int:
+    """The number of azimuth cells per map; raises InvalidConfigError first
+    when ``angular_step`` does not divide 2*pi evenly or ``border_samples`` < 1."""
+    n_cells = round(TWO_PI / angular_step)
+    if n_cells < 2 or abs(n_cells * angular_step - TWO_PI) > 1e-9:
+        raise InvalidConfigError(f"angular_step must evenly divide 2*pi: {angular_step}")
+    if border_samples < 1:
+        raise InvalidConfigError(f"border sample count must be >= 1: {border_samples}")
+    return n_cells
+
+
 def build_coverage_map(
     bs: BaseStation,
     city: CityMap,
@@ -540,9 +562,7 @@ def build_coverage_map(
     min_radius: float = MIN_SECTOR_RADIUS,
 ) -> CoverageMap:
     """Sectorized coverage map of one station, with a discretized border."""
-    n_cells = round(TWO_PI / angular_step)
-    if n_cells < 2 or abs(n_cells * angular_step - TWO_PI) > 1e-9:
-        raise InvalidConfigError(f"angular_step must evenly divide 2*pi: {angular_step}")
+    n_cells = check_map_settings(angular_step, border_samples)
     radii = _certified_cell_radii(bs.xy, city, params, n_cells)
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
     wedges = _cells_to_wedges(radii, merge_tol, min_radius)
@@ -661,10 +681,15 @@ def common_border_points(cov_a: CoverageMap, cov_b: CoverageMap) -> CommonBorder
 
 
 def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
-                       border_samples: int = BORDER_SAMPLES):
-    """Coverage maps for every station plus all pairwise common borders."""
+                       border_samples: int = BORDER_SAMPLES, *, built=None):
+    """Coverage maps for every station plus all pairwise common borders.
+
+    ``built`` maps station ids to maps already made by ``build_coverage_map``
+    with the same settings; those are reused rather than built again.
+    """
+    built = built or {}
     maps = {
-        bs.id: build_coverage_map(
+        bs.id: built[bs.id] if bs.id in built else build_coverage_map(
             bs, scenario.city, scenario.radio,
             angular_step=angular_step, border_samples=border_samples,
         )

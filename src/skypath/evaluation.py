@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -11,14 +12,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .coverage import ANGULAR_STEP, BORDER_SAMPLES, build_all_coverage, network_covered
+from .coverage import (
+    ANGULAR_STEP,
+    BORDER_SAMPLES,
+    LinkState,
+    build_all_coverage,
+    build_coverage_map,
+    check_map_settings,
+    coverage_disk_radius_sq,
+    network_covered,
+    point_in_any_sector,
+)
+from .geometry import GEOM_EPS
 from .planner import (
     GRID_STEP,
     InfeasibleEndpointError,
     Trajectory,
     base_trajectory,
-    build_feasibility_graph,
     build_refined_graph,
+    feasibility_graph_size,
     grid_baseline_plan,
     optimize_trajectory,
     straight_line_plan,
@@ -71,8 +83,9 @@ def outage_fraction(t: Trajectory, scenario: Scenario, step: float = OUTAGE_STEP
 class PlannerReport:
     """One planner's outcome on one scenario draw.
 
-    For ``optimized``, nodes/edges count the paper's refined graph, also when
-    the path came from the sequence-free A* over all common-border points.
+    For ``base``, nodes/edges count the feasibility graph, by closed form.
+    For ``optimized``, they count the paper's refined graph, also when the
+    path came from the sequence-free A* over all common-border points.
     """
 
     seed: int
@@ -105,6 +118,38 @@ class MonteCarloConfig:
             raise ValueError(f"unknown planners: {sorted(unknown)}")
 
 
+def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int):
+    """Maps of the stations that can hold a mission endpoint, the start first.
+
+    Every wedge radius is at most r_los and membership adds only GEOM_EPS, so
+    no station farther than r_los + GEOM_EPS from an endpoint can hold it.
+    Only the maps of the nearer stations are built, and InfeasibleEndpointError
+    is raised, as ``base_trajectory`` would raise it, as soon as none of them
+    holds the endpoint. Returns the maps built, by station id, and the number
+    of maps that hold the start and the goal.
+    """
+    check_map_settings(angular_step, border_samples)
+    reach = math.sqrt(coverage_disk_radius_sq(scenario.radio, LinkState.LOS)) + GEOM_EPS
+    stations = scenario.base_stations
+    centers = np.array([bs.xy for bs in stations]).reshape(-1, 2)
+    maps = {}
+    counts = []
+    for name, point in (("start", scenario.mission.start), ("goal", scenario.mission.goal)):
+        near = np.hypot(point.x - centers[:, 0], point.y - centers[:, 1]) <= reach
+        count = 0
+        for bs in (bs for bs, ok in zip(stations, near.tolist()) if ok):
+            if bs.id not in maps:
+                maps[bs.id] = build_coverage_map(
+                    bs, scenario.city, scenario.radio,
+                    angular_step=angular_step, border_samples=border_samples,
+                )
+            count += point_in_any_sector(point.xy, maps[bs.id])
+        if not count:
+            raise InfeasibleEndpointError(name, point)
+        counts.append(count)
+    return maps, counts
+
+
 def evaluate_planners(
     scenario: Scenario,
     planners=DEFAULT_PLANNERS,
@@ -118,8 +163,17 @@ def evaluate_planners(
 
     Returns (reports, trajectories). Wall times are cumulative over the
     stages a planner needs: the optimized planner's time includes coverage
-    construction and the base stage it refines. The optimized row's
-    nodes/edges count the refined graph, not the sequence-free A* search.
+    construction and the base stage it refines.
+
+    The graph planners skip work that cannot change their answer. The maps
+    of the stations near each endpoint are built first (``_endpoint_maps``),
+    so a trial with an uncovered endpoint stops before the other maps and the
+    common borders are built. ``base_trajectory`` searches over the stations
+    rather than the feasibility graph, so that graph is never built; the
+    base row's nodes/edges still count it, by closed form
+    (``feasibility_graph_size``). The optimized row's nodes/edges count the
+    refined graph, not the sequence-free A* search, which prunes its points
+    to those that could beat the refined path.
     """
     wanted = [p for p in PLANNER_ORDER if p in planners]
     reports: list[PlannerReport] = []
@@ -146,13 +200,15 @@ def evaluate_planners(
         feasible = True
         note = ""
         base = None
-        feas_graph = None
+        size = (None, None)
         try:
+            maps, covers = _endpoint_maps(scenario, angular_step, border_samples)
             maps, commons = build_all_coverage(
-                scenario, angular_step=angular_step, border_samples=border_samples
+                scenario, angular_step=angular_step, border_samples=border_samples,
+                built=maps,
             )
-            feas_graph = build_feasibility_graph(scenario, maps, commons)
-            base = base_trajectory(scenario, maps, commons, graph=feas_graph)
+            size = feasibility_graph_size(maps, commons, *covers)
+            base = base_trajectory(scenario, maps, commons)
             feasible = base is not None
             if not feasible:
                 note = "no path between the mission endpoints in the feasibility graph"
@@ -166,10 +222,7 @@ def evaluate_planners(
             trajectories["base"] = base.trajectory if base else None
             reports.append(
                 PlannerReport(
-                    seed, "base", feasible, length, outage,
-                    feas_graph.node_count if feas_graph else None,
-                    feas_graph.edge_count if feas_graph else None,
-                    base_wall, note,
+                    seed, "base", feasible, length, outage, *size, base_wall, note,
                 )
             )
         if "optimized" in wanted:

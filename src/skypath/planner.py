@@ -3,7 +3,9 @@
 The feasibility stage connects the mission endpoints through station
 projections and discretized common-border points; every edge of that graph is
 coverage-safe by construction (sectors are wedges around the projection, so
-the union is star-shaped about it). The refinement stage rebuilds a graph
+the union is star-shaped about it). Its shortest path is found by a Dijkstra
+over the stations that gives the full graph's path, without building the
+graph. The refinement stage rebuilds a graph
 restricted to the stations the base path visits and adds shortcut edges that
 are verified to stay inside one station's coverage, then searches it again.
 The optimized trajectory is the shorter of that path and an exact A* over the
@@ -238,29 +240,141 @@ def build_feasibility_graph(
     return PlanGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
+def feasibility_graph_size(
+    maps: dict[int, CoverageMap],
+    commons: dict[tuple[int, int], CommonBorder],
+    start_cover: int,
+    goal_cover: int,
+) -> tuple[int, int]:
+    """Node and edge counts of ``build_feasibility_graph``, by closed form.
+
+    ``start_cover`` and ``goal_cover`` count the maps that hold each endpoint.
+    """
+    border = sum(cb.points.shape[0] for cb in commons.values())
+    return 2 + len(maps) + border, start_cover + 2 * border + goal_cover
+
+
+def _covering(point: Point3, ids: list[int], maps: dict[int, CoverageMap]) -> list[int]:
+    """The ids whose map holds the point, in order.
+
+    A map holds no point farther from its apex than its largest radius plus
+    GEOM_EPS, measured as ``points_in_coverage`` measures it.
+    """
+    reach = np.array([maps[k].max_radius for k in ids]) + GEOM_EPS
+    centers = np.array([maps[k].center for k in ids]).reshape(-1, 2)
+    near = np.hypot(point.x - centers[:, 0], point.y - centers[:, 1]) <= reach
+    return [k for k, ok in zip(ids, near.tolist()) if ok and point_in_any_sector(point.xy, maps[k])]
+
+
 def base_trajectory(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
     commons: dict[tuple[int, int], CommonBorder],
     graph: PlanGraph | None = None,
 ) -> BaseResult | None:
-    """Shortest path in the feasibility graph, or None when disconnected."""
-    if graph is None:
-        graph = build_feasibility_graph(scenario, maps, commons)
-    goal_id = graph.node_count - 1
-    path = shortest_path(graph, 0, goal_id)
-    if path is None:
-        return None
-    altitude = scenario.radio.uav_altitude
-    waypoints = _dedupe_waypoints(
-        [(graph.nodes[i].x, graph.nodes[i].y) for i in path], altitude
-    )
-    visited_ids = [
-        graph.nodes[i].bs_id for i in path if graph.nodes[i].kind == NODE_BS
+    """Shortest path in the feasibility graph, or None when disconnected.
+
+    The search runs over the K stations instead of the graph's nodes. In the
+    graph a border point p of stations k and j only leads from one to the
+    other, so when station k settles at dist_k, Dijkstra relaxes each partner
+    j with the best of (dist_k + |c_k p|) + |p c_j| over the pair's points, in
+    one pass. The sums are added in the graph's order, and ties break by
+    (total, dist_k + |c_k p|, border-node id), the order in which the graph's
+    search pops those points, so path, waypoints and visit order are the
+    graph's own. ``graph`` is accepted for compatibility and not used.
+    Raises InfeasibleEndpointError when no map holds an endpoint.
+    """
+    mission = scenario.mission
+    ids = sorted(maps)
+    start_cover = _covering(mission.start, ids, maps)
+    if not start_cover:
+        raise InfeasibleEndpointError("start", mission.start)
+    goal_cover = set(_covering(mission.goal, ids, maps))
+    if not goal_cover:
+        raise InfeasibleEndpointError("goal", mission.goal)
+
+    index = {k: i for i, k in enumerate(ids)}
+    centers = [maps[k].center for k in ids]
+    goal = len(ids)  # the goal's heap index follows every station's, as its node id does
+    # the border points as the graph numbers them, pair by pair in sorted order
+    pairs = sorted(commons)
+    sizes = [commons[pair].points.shape[0] for pair in pairs]
+    points = np.vstack([commons[pair].points for pair in pairs]) if pairs else np.empty((0, 2))
+    owner = np.repeat(np.array([[index[a], index[b]] for a, b in pairs], dtype=int).reshape(-1, 2),
+                      sizes, axis=0)
+    xy = np.array(centers)
+    # |c p| from each of the pair's stations by math.hypot, as the graph's
+    # edge weights are; np.hypot can differ in the last bit
+    spoke = [
+        np.fromiter(map(math.hypot, (xy[owner[:, side], 0] - points[:, 0]).tolist(),
+                        (xy[owner[:, side], 1] - points[:, 1]).tolist()), float, points.shape[0])
+        for side in (0, 1)
     ]
+    partners: list[list[tuple[int, int, int, int]]] = [[] for _ in ids]
+    cuts = np.cumsum([0, *sizes]).tolist()
+    for (a, b), lo, hi in zip(pairs, cuts[:-1], cuts[1:]):
+        if hi > lo:
+            partners[index[a]].append((index[b], lo, hi, 0))
+            partners[index[b]].append((index[a], lo, hi, 1))
+    first_border = 1 + len(ids)  # node id of the graph's first border point
+
+    # best[j]: (dist, tie, border-node id) of j's best way in so far, and
+    # via[j] the station and border point it comes through; the start's
+    # spokes come first in the graph, so they win every tie
+    best: dict[int, tuple[float, float, int]] = {}
+    via: dict[int, tuple[int, np.ndarray] | None] = {}
+    goal_dist, last = math.inf, -1  # the first station settled wins a tie
+    heap: list[tuple[float, int]] = []
+    for k in start_cover:
+        j = index[k]
+        best[j] = (math.hypot(mission.start.x - centers[j][0], mission.start.y - centers[j][1]),
+                   -math.inf, -1)
+        via[j] = None
+        heappush(heap, (best[j][0], j))
+    done = set()
+    while heap:
+        d, k = heappop(heap)
+        if k in done:
+            continue
+        done.add(k)
+        if k == goal:
+            break
+        if ids[k] in goal_cover:
+            c = centers[k]
+            total = d + math.hypot(c[0] - mission.goal.x, c[1] - mission.goal.y)
+            if total < goal_dist:
+                goal_dist, last = total, k
+                heappush(heap, (total, goal))
+        for j, lo, hi, side in partners[k]:
+            if j in done:
+                continue
+            reach = d + spoke[side][lo:hi]
+            total = reach + spoke[1 - side][lo:hi]
+            tied = np.flatnonzero(total == total.min())
+            i = int(tied[np.argmin(reach[tied])])
+            key = (float(total[i]), float(reach[i]), first_border + lo + i)
+            if key < best.get(j, (math.inf,)):
+                best[j], via[j] = key, (k, points[lo + i])
+                heappush(heap, (key[0], j))
+    if goal not in done:
+        return None
+
+    path, visited_ids, k = [(mission.goal.x, mission.goal.y)], [], last
+    while True:
+        path.append(centers[k])
+        visited_ids.append(ids[k])
+        if via[k] is None:
+            break
+        k, p = via[k]
+        path.append(p)
+    path.append((mission.start.x, mission.start.y))
+    path.reverse()
+    visited_ids.reverse()
     by_id = {bs.id: bs for bs in scenario.base_stations}
     return BaseResult(
-        trajectory=Trajectory(waypoints=waypoints, kind="base"),
+        trajectory=Trajectory(
+            waypoints=_dedupe_waypoints(path, scenario.radio.uav_altitude), kind="base"
+        ),
         visited_stations=tuple(by_id[k] for k in visited_ids),
         visit_indices=tuple(visited_ids),
     )
@@ -292,33 +406,36 @@ def _jump_table(covs: Sequence[CoverageMap]):
     return angles, np.cos(unshifted), np.sin(unshifted), before, after
 
 
-def _jumps_clear(p0, p1, centers, which, table) -> np.ndarray:
-    """True where segment p0[i]-p1[i] crosses each jump of map which[i] inside R.
+def _polar(points: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets of points (n, 2) from their map apexes, with azimuths and radii."""
+    a = points - centers
+    return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
 
-    The endpoints must lie in that map, whose apex is centers[i]. Along a
-    segment, the distance from the apex, r(theta) = h / cos(theta - phi), is
-    convex in the azimuth, so on each piece of the step function R it peaks at
-    an end of the piece: the segment is inside iff it is inside R on both
-    sides of every jump it crosses. Points within GEOM_EPS of a jump's ray
-    count as covered by either side, as in ``points_in_coverage``, so each
-    side is checked where the segment leaves that band.
+
+def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
+    """True where segment i crosses each jump of map which[i] inside R.
+
+    Segment i runs along d[i] = p1[i] - p0[i]; end0 and end1 are ``_polar``
+    of p0 and p1 about that map's apex, and both ends must lie in the map.
+    Along a segment, the distance from the apex, r(theta) = h / cos(theta -
+    phi), is convex in the azimuth, so on each piece of the step function R it
+    peaks at an end of the piece: the segment is inside iff it is inside R on
+    both sides of every jump it crosses. Points within GEOM_EPS of a jump's
+    ray count as covered by either side, as in ``points_in_coverage``, so
+    each side is checked where the segment leaves that band.
     """
     angles, cos_j, sin_j, before, after = table
-    a = p0 - centers
-    b = p1 - centers
-    d = p1 - p0
+    (a, ta, ra), (b, tb, rb) = end0, end1
     cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     # a segment in line with the apex lies along its endpoints' rays
     radial = np.abs(cross) <= GEOM_EPS * np.hypot(d[:, 0], d[:, 1])
     ccw = cross >= 0.0  # the azimuth grows from p0 to p1
-    ta = np.arctan2(a[:, 1], a[:, 0])
-    tb = np.arctan2(b[:, 1], b[:, 0])
     lo = np.where(ccw, ta, tb) % TWO_PI
     width = (np.where(ccw, tb, ta) - lo) % TWO_PI
     width[width > math.pi] = 0.0  # a rounded zero sweep
     # an endpoint at radius r reaches the GEOM_EPS band of jumps up to
     # GEOM_EPS / r outside the swept range
-    near = np.minimum(np.hypot(a[:, 0], a[:, 1]), np.hypot(b[:, 0], b[:, 1]))
+    near = np.minimum(ra, rb)
     pad = np.minimum(GEOM_EPS / np.maximum(near, GEOM_EPS), 0.5) + 1e-12
     lo = np.where(lo < pad, lo + TWO_PI, lo) + 2.0 * TWO_PI * which
     i0 = np.searchsorted(angles, lo - pad, side="left")
@@ -362,7 +479,10 @@ def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np
     p1 = np.atleast_2d(np.asarray(p1, dtype=float))
     ok = points_in_coverage(p0, cov) & points_in_coverage(p1, cov)
     if ok.any():
-        ok[ok] = _jumps_clear(p0[ok], p1[ok], np.asarray(cov.center), 0, _jump_table([cov]))
+        center = np.asarray(cov.center)
+        p0, p1 = p0[ok], p1[ok]
+        ok[ok] = _jumps_clear(p1 - p0, _polar(p0, center), _polar(p1, center), 0,
+                              _jump_table([cov]))
     return ok
 
 
@@ -457,13 +577,17 @@ def _free_search(
     """Exact A* over the refinement's points, free of any station sequence.
 
     Nodes are the mission endpoints, the station projections and every
-    distinct common-border point. Two nodes are joined when both lie in one
-    station's map and the segment between them stays in that map, as
-    ``segments_in_coverage`` decides. An edge is checked only when its tail
-    is expanded, together with the tail's other edges, and only toward nodes
-    whose Euclidean lower bound stays below ``bound``; the Euclidean
-    heuristic is consistent, so each node is expanded once. Returns the
-    waypoints of the shortest path, or None when no path is shorter than
+    distinct common-border point, less those with |s v| + |v g| >=
+    bound * (1 + 1e-9): no path through them can be shorter than ``bound``,
+    and the margin absorbs rounding between those distances and a path's
+    summed legs. Two nodes are joined when both lie in one station's map and
+    the segment between them stays in that map, as ``segments_in_coverage``
+    decides. An edge is checked only when its tail is expanded, together with
+    the tail's other edges, and only toward nodes whose Euclidean lower bound
+    stays below ``bound``; each node's offset, azimuth and radius about each
+    map's apex that holds it are computed once, before the search. The
+    Euclidean heuristic is consistent, so each node is expanded once. Returns
+    the waypoints of the shortest path, or None when no path is shorter than
     ``bound``.
     """
     mission = scenario.mission
@@ -475,14 +599,24 @@ def _free_search(
         np.unique(np.vstack(borders), axis=0) if borders else np.empty((0, 2)),
         [mission.goal.xy],
     ])
+    to_goal = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
+    from_start = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
+    live = from_start + to_goal < bound * (1.0 + 1e-9)
+    if not live[-1]:
+        return None
+    xy, to_goal = xy[live], to_goal[live]
     n = xy.shape[0]
     goal = n - 1
     covs = [maps[k] for k in stations]
     inside = np.array([points_in_coverage(xy, cov) for cov in covs])
-    members = [np.flatnonzero(row) for row in inside]
-    centers = np.array([cov.center for cov in covs])
+    # slot s: node slot_node[s] in map slot_map[s]; each map's slots form one run
+    slot_map, slot_node = np.nonzero(inside)
+    polar = _polar(xy[slot_node], np.array([cov.center for cov in covs])[slot_map])
+    slot_of = np.full(inside.shape, -1)
+    slot_of[slot_map, slot_node] = np.arange(slot_node.size)
+    cuts = np.searchsorted(slot_map, np.arange(len(covs) + 1))
+    runs = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     table = _jump_table(covs)
-    to_goal = np.hypot(xy[:, 0] - xy[goal, 0], xy[:, 1] - xy[goal, 1])
     cost = np.full(n, math.inf)
     cost[0] = 0.0
     parent = np.full(n, -1)
@@ -497,15 +631,18 @@ def _free_search(
             break
         # every (neighbour, shared map) pair, checked in one batch
         own = np.flatnonzero(inside[:, u])
-        cand = np.concatenate([members[m] for m in own])
-        which = np.repeat(own, [members[m].size for m in own])
+        slots = np.concatenate([runs[m] for m in own])
+        cand = slot_node[slots]
         reach = cost[u] + np.hypot(xy[cand, 0] - xy[u, 0], xy[cand, 1] - xy[u, 1])
         keep = ~closed[cand] & (reach < cost[cand]) & (reach + to_goal[cand] < bound)
         if not keep.any():
             continue
-        cand, which, reach = cand[keep], which[keep], reach[keep]
+        slots, cand, reach = slots[keep], cand[keep], reach[keep]
+        which = slot_map[slots]
+        tail = slot_of[which, u]
         good = _jumps_clear(
-            np.broadcast_to(xy[u], (cand.size, 2)), xy[cand], centers[which], which, table
+            xy[cand] - xy[u], tuple(v[tail] for v in polar), tuple(v[slots] for v in polar),
+            which, table,
         )
         for v, c in zip(cand[good].tolist(), reach[good].tolist()):
             if c < cost[v]:

@@ -327,3 +327,94 @@ def certified_radii_oracle(center, city, params, n_cells):
 
     first_block = (factor[None, :] * cell_min).min(axis=1)
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
+
+
+def free_search_oracle(scenario, maps, commons, bound):
+    """Reference for ``planner._free_search``: the A* over every point, before
+    any pruning, with each node's offset, azimuth and radius about a map's
+    apex recomputed at every expansion.
+
+    Same nodes, edges, heuristic and tie order; only the jump kernel
+    ``planner._jumps_clear`` is shared.
+    """
+    from heapq import heappop, heappush
+
+    from skypath.coverage import points_in_coverage
+    from skypath.planner import _jump_table, _jumps_clear
+
+    def polar(points, centers):
+        a = points - centers
+        return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
+
+    mission = scenario.mission
+    stations = [k for k in sorted(maps) if not maps[k].is_empty]
+    borders = [commons[pair].points for pair in sorted(commons)]
+    xy = np.vstack([
+        [mission.start.xy],
+        [maps[k].center for k in stations],
+        np.unique(np.vstack(borders), axis=0) if borders else np.empty((0, 2)),
+        [mission.goal.xy],
+    ])
+    n = xy.shape[0]
+    goal = n - 1
+    covs = [maps[k] for k in stations]
+    inside = np.array([points_in_coverage(xy, cov) for cov in covs])
+    members = [np.flatnonzero(row) for row in inside]
+    centers = np.array([cov.center for cov in covs])
+    table = _jump_table(covs)
+    to_goal = np.hypot(xy[:, 0] - xy[goal, 0], xy[:, 1] - xy[goal, 1])
+    cost = np.full(n, math.inf)
+    cost[0] = 0.0
+    parent = np.full(n, -1)
+    closed = np.zeros(n, dtype=bool)
+    heap = [(to_goal[0], 0)]
+    while heap:
+        _, u = heappop(heap)
+        if closed[u]:
+            continue
+        closed[u] = True
+        if u == goal:
+            break
+        own = np.flatnonzero(inside[:, u])
+        cand = np.concatenate([members[m] for m in own])
+        which = np.repeat(own, [members[m].size for m in own])
+        reach = cost[u] + np.hypot(xy[cand, 0] - xy[u, 0], xy[cand, 1] - xy[u, 1])
+        keep = ~closed[cand] & (reach < cost[cand]) & (reach + to_goal[cand] < bound)
+        if not keep.any():
+            continue
+        cand, which, reach = cand[keep], which[keep], reach[keep]
+        p0 = np.broadcast_to(xy[u], (cand.size, 2))
+        p1 = xy[cand]
+        good = _jumps_clear(p1 - p0, polar(p0, centers[which]), polar(p1, centers[which]),
+                            which, table)
+        for v, c in zip(cand[good].tolist(), reach[good].tolist()):
+            if c < cost[v]:
+                cost[v] = c
+                parent[v] = u
+                heappush(heap, (c + to_goal[v], v))
+    if not closed[goal]:
+        return None
+    path = [goal]
+    while path[-1] != 0:
+        path.append(int(parent[path[-1]]))
+    return xy[path[::-1]]
+
+
+def node_graph_base(scenario, maps, commons):
+    """Reference for ``planner.base_trajectory``: Dijkstra over every node of
+    ``build_feasibility_graph``. Returns the graph and the path's waypoints
+    (x, y) and visited station ids, or the graph and None when disconnected.
+    """
+    from skypath.planner import NODE_BS, build_feasibility_graph, shortest_path
+
+    graph = build_feasibility_graph(scenario, maps, commons)
+    path = shortest_path(graph, 0, graph.node_count - 1)
+    if path is None:
+        return graph, None
+    waypoints = []
+    for i in path:
+        p = (graph.nodes[i].x, graph.nodes[i].y)
+        if not waypoints or math.hypot(p[0] - waypoints[-1][0], p[1] - waypoints[-1][1]) > 1e-9:
+            waypoints.append(p)
+    visited = tuple(graph.nodes[i].bs_id for i in path if graph.nodes[i].kind == NODE_BS)
+    return graph, (waypoints, visited)

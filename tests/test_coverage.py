@@ -559,6 +559,23 @@ class TestNetworkCovered:
         slow = direct_snr_max(pts, scn) >= params.snr_threshold
         np.testing.assert_array_equal(fast, slow)
 
+    @pytest.mark.parametrize("entry", ["network_covered", "points_in_coverage",
+                                       "fan_blocked", "snr_per_station"])
+    def test_empty_point_list_gives_empty_result(self, entry):
+        from skypath.coverage import fan_blocked
+
+        scn = small_city_scenario(seed=11, k=2)
+        bs = scn.base_stations[0]
+        call = {
+            "network_covered": lambda pts: network_covered(pts, scn),
+            "points_in_coverage": lambda pts: points_in_coverage(
+                pts, build_coverage_map(bs, scn.city, scn.radio)),
+            "fan_blocked": lambda pts: fan_blocked(bs.xy, pts, scn.city, scn.radio),
+            "snr_per_station": lambda pts: snr_per_station(pts, bs, scn.radio, scn.city),
+        }[entry]
+        for empty in ([], np.empty((0, 2))):
+            assert call(empty).shape == (0,)
+
     def test_no_stations_means_uncovered(self):
         scn = open_field_scenario([(1000, 1000)])
         scn2 = scn.with_base_stations(())

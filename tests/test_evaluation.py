@@ -3,8 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skypath import evaluation
+from skypath.coverage import (
+    RADIUS_SAFETY,
+    LinkState,
+    build_all_coverage,
+    coverage_disk_radius_sq,
+)
 from skypath.evaluation import (
     MonteCarloConfig,
     evaluate_planners,
@@ -15,11 +23,18 @@ from skypath.evaluation import (
     trajectory_length,
     write_report_csv,
 )
-from skypath.geometry import Point3
-from skypath.planner import Trajectory, straight_line_plan
-from skypath.scenario import PlacementError, default_mission
+from skypath.geometry import GEOM_EPS, Point3
+from skypath.planner import InfeasibleEndpointError, Trajectory, straight_line_plan
+from skypath.scenario import (
+    InvalidConfigError,
+    PlacementError,
+    default_mission,
+    default_radio_params,
+)
 
-from conftest import open_field_scenario, small_city_scenario
+from conftest import node_graph_base, open_field_scenario, small_city_scenario
+
+R_LOS = math.sqrt(coverage_disk_radius_sq(default_radio_params(), LinkState.LOS))
 
 
 def traj(points, kind="straight"):
@@ -124,6 +139,60 @@ class TestEvaluatePlanners:
         assert not by_name["optimized"].feasible
         assert by_name["base"].length_m is None
         assert trajectories["base"] is None
+
+
+def _all_maps_first(scn):
+    """The base row as building every map first would give it: (feasible,
+    note, nodes, edges, waypoints)."""
+    maps, commons = build_all_coverage(scn)
+    try:
+        graph, found = node_graph_base(scn, maps, commons)
+    except InfeasibleEndpointError as exc:
+        return False, str(exc), None, None, None
+    if found is None:
+        return False, "no path between the mission endpoints in the feasibility graph", \
+            graph.node_count, graph.edge_count, None
+    return True, "", graph.node_count, graph.edge_count, found[0]
+
+
+# distances from an endpoint: around r_los, where the endpoint-first check
+# stops looking, around the claimed radius, where membership ends, and anywhere
+_OFFSETS = st.floats(-1e-6, 1e-6)
+_DISTANCES = st.one_of(
+    _OFFSETS.map(lambda u: R_LOS + u),
+    _OFFSETS.map(lambda u: R_LOS - RADIUS_SAFETY + GEOM_EPS + u),
+    st.floats(0.0, R_LOS + 100.0),
+)
+
+
+class TestEndpointFirst:
+    """evaluate_planners, which builds the maps near each endpoint first,
+    against building every map before looking at the endpoints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), _DISTANCES, st.floats(0.0, 2.0 * math.pi)),
+                    min_size=1, max_size=5))
+    def test_matches_building_every_map(self, placed):
+        start, goal = (700.0, 1000.0), (1300.0, 1000.0)
+        stations = []
+        for at_goal, r, theta in placed:
+            cx, cy = goal if at_goal else start
+            stations.append((cx + r * math.cos(theta), cy + r * math.sin(theta)))
+        scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
+        reports, trajectories = evaluate_planners(scn, planners=("base",))
+        row = reports[0]
+        base = trajectories["base"]
+        got = (row.feasible, row.note, row.nodes, row.edges,
+               [(p.x, p.y) for p in base.waypoints] if base else None)
+        assert got == _all_maps_first(scn)
+
+    def test_invalid_settings_raise_before_the_endpoint_check(self):
+        # no station can hold the start, and the settings are still checked first
+        scn = open_field_scenario([(1800.0, 1800.0)], start_xy=(100.0, 100.0))
+        with pytest.raises(InvalidConfigError):
+            evaluate_planners(scn, planners=("base",), border_samples=0)
+        with pytest.raises(InvalidConfigError):
+            evaluate_planners(scn, planners=("base",), angular_step=0.7)
 
 
 class TestMonteCarlo:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skypath.coverage import build_all_coverage, build_coverage_map, points_in_coverage
+from skypath.coverage import (
+    CommonBorder,
+    CoverageMap,
+    build_all_coverage,
+    build_coverage_map,
+    points_in_coverage,
+)
 from skypath.evaluation import sample_polyline
 from skypath.geometry import Point3
 from skypath.planner import (
@@ -15,11 +21,13 @@ from skypath.planner import (
     InfeasibleEndpointError,
     PlanGraph,
     _distance,
+    _free_search,
     Trajectory,
     audit_edge_safety,
     base_trajectory,
     build_feasibility_graph,
     build_refined_graph,
+    feasibility_graph_size,
     grid_baseline_plan,
     line_in_coverage,
     optimize_trajectory,
@@ -27,10 +35,10 @@ from skypath.planner import (
     shortest_path,
     straight_line_plan,
 )
-from skypath.scenario import default_mission
+from skypath.scenario import build_default_scenario, default_mission, place_base_stations
 
-from conftest import (direct_snr_max, line_check_tie, open_field_scenario,
-                      sampled_line_in_coverage, small_city_scenario)
+from conftest import (direct_snr_max, free_search_oracle, line_check_tie, node_graph_base,
+                      open_field_scenario, sampled_line_in_coverage, small_city_scenario)
 
 R_CLAIMED = math.sqrt(281203.58684358007) - 0.01  # claimed open-field radius
 
@@ -163,6 +171,150 @@ class TestFeasibilityGraph:
         wp = {(round(p.x, 6), round(p.y, 6)) for p in base.trajectory.waypoints}
         for bs in base.visited_stations:
             assert (round(bs.position.x, 6), round(bs.position.y, 6)) in wp
+
+
+@pytest.fixture(scope="module")
+def planning_inputs():
+    """(scenario, maps, commons) of open fields, small cities and default-city
+    placements. The open fields' shortest paths have one and two legs."""
+    cases = []
+    for stations, start, goal in (
+        ([(1000.0, 1000.0)], (800.0, 1200.0), (1200.0, 1200.0)),
+        ([(600.0, 1000.0), (1400.0, 1000.0)], (400.0, 1350.0), (1600.0, 650.0)),
+    ):
+        scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
+        cases.append((scn, *build_all_coverage(scn, border_samples=16)))
+    for seed in (8, 11, 19, 20, 23, 29):
+        scn = small_city_scenario(seed=seed, k=6)
+        cases.append((scn, *build_all_coverage(scn, border_samples=16)))
+    city = build_default_scenario(seed=1, k=25)
+    for seed in range(100, 108):
+        stations = place_base_stations(city.city, k=25, h_g=city.radio.bs_height, seed=seed)
+        scn = city.with_base_stations(stations)
+        cases.append((scn, *build_all_coverage(scn)))
+    return cases
+
+
+def _disk(bs, radius):
+    """A hand-made map: a disk of the given radius around the station."""
+    return CoverageMap(bs.id, bs.xy, [0.0, math.pi], [math.pi, 2.0 * math.pi],
+                       [radius, radius], np.empty((0, 2)))
+
+
+def _hand_layout(stations, radii, start, goal, commons):
+    scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
+    maps = {bs.id: _disk(bs, r) for bs, r in zip(scn.base_stations, radii)}
+    commons = {pair: CommonBorder(pair, np.array(pts, dtype=float))
+               for pair, pts in commons.items()}
+    return scn, maps, commons
+
+
+class TestStationSearch:
+    """base_trajectory's search over the stations against Dijkstra over every
+    node of the feasibility graph: waypoints, visit order and graph size."""
+
+    def _check(self, scn, maps, commons):
+        try:
+            graph, expected = node_graph_base(scn, maps, commons)
+        except InfeasibleEndpointError as exc:
+            with pytest.raises(InfeasibleEndpointError) as err:
+                base_trajectory(scn, maps, commons)
+            assert str(err.value) == str(exc)
+            return None
+        base = base_trajectory(scn, maps, commons)
+        goal = graph.node_count - 1
+        covers = (sum(u == 0 for u, _, _ in graph.edges),
+                  sum(v == goal for _, v, _ in graph.edges))
+        assert feasibility_graph_size(maps, commons, *covers) == (
+            graph.node_count, graph.edge_count)
+        if expected is None:
+            assert base is None
+            return None
+        waypoints, visited = expected
+        assert [(p.x, p.y) for p in base.trajectory.waypoints] == waypoints
+        assert base.visit_indices == visited
+        assert [bs.id for bs in base.visited_stations] == list(visited)
+        # the graph argument is accepted and does not change the result
+        again = base_trajectory(scn, maps, commons, graph=graph)
+        assert again.trajectory.waypoints == base.trajectory.waypoints
+        return base
+
+    def test_cities_and_default_placements(self, planning_inputs):
+        found = sum(self._check(*case) is not None for case in planning_inputs)
+        assert found >= 5
+
+    def test_equal_totals_and_reaches_take_the_lower_node_id(self):
+        # two border points mirrored about the line between the stations
+        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
+                            (900.0, 1000.0), (1500.0, 1000.0),
+                            {(1, 2): [(1200.0, 1100.0), (1200.0, 900.0)]})
+        base = self._check(*case)
+        assert (base.trajectory.waypoints[2].x, base.trajectory.waypoints[2].y) == (1200.0, 1100.0)
+
+    def test_equal_totals_take_the_shorter_reach(self):
+        # totals 500 through both points; the graph pops the nearer one first
+        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
+                            (900.0, 1000.0), (1500.0, 1000.0),
+                            {(1, 2): [(1300.0, 1000.0), (1100.0, 1000.0)]})
+        base = self._check(*case)
+        assert (base.trajectory.waypoints[2].x, base.trajectory.waypoints[2].y) == (1100.0, 1000.0)
+
+    def test_rounding_tie_follows_the_graph_weights(self):
+        # mirrored points whose totals tie under the graph's math.hypot
+        # weights, while np.hypot would make the second point's total smaller
+        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
+                            (900.0, 1000.0), (1500.0, 1000.0),
+                            {(1, 2): [(1227.734375, 1043.8125), (1172.265625, 1043.8125)]})
+        base = self._check(*case)
+        assert base.trajectory.waypoints[2].x == 1172.265625
+
+    def test_start_spoke_wins_an_equal_total(self):
+        # 200 + 300 + 500 through station 1 equals the 1000 m spoke to station 2
+        case = _hand_layout([(700.0, 1000.0), (1500.0, 1000.0)], [600.0, 1100.0],
+                            (500.0, 1000.0), (1550.0, 1000.0),
+                            {(1, 2): [(1000.0, 1000.0)]})
+        base = self._check(*case)
+        assert base.visit_indices == (2,)
+
+    def test_goal_tie_goes_to_the_first_station_settled(self):
+        case = _hand_layout([(1000.0, 1100.0), (1000.0, 900.0)], [600.0, 600.0],
+                            (1000.0, 1000.0), (1500.0, 1000.0), {})
+        base = self._check(*case)
+        assert base.visit_indices == (1,)
+
+
+class TestPrunedFreeSearch:
+    """_free_search against the A* over every point, at several bounds."""
+
+    def test_matches_unpruned_search(self, planning_inputs):
+        searched = 0
+        for scn, maps, commons in planning_inputs:
+            try:
+                base = base_trajectory(scn, maps, commons)
+            except InfeasibleEndpointError:
+                continue
+            if base is None:
+                continue
+            searched += 1
+            refined = build_refined_graph(base, scn, maps, commons)
+            path = shortest_path(refined, 0, refined.node_count - 1)
+            refined_length = sum(_distance(refined.nodes[a], refined.nodes[b])
+                                 for a, b in zip(path, path[1:]))
+            straight = scn.mission.start.distance_to(scn.mission.goal)
+            best = free_search_oracle(scn, maps, commons, math.inf)
+            shortest = float(np.hypot(*np.diff(best, axis=0).T).sum())
+            # a bound just above the shortest path keeps its nodes, which sit
+            # on or inside the ellipse |s v| + |v g| = bound, barely
+            for bound in (refined_length * (1.0 - 1e-12), base.trajectory.length,
+                          shortest * (1.0 + 1e-12), shortest, 1.01 * straight, straight,
+                          0.5 * straight, math.inf):
+                got = _free_search(scn, maps, commons, bound)
+                want = free_search_oracle(scn, maps, commons, bound)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and got.tobytes() == want.tobytes()
+        assert searched >= 5
 
 
 class TestLineInCoverage:
