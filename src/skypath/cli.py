@@ -62,6 +62,13 @@ def _parse_planners(text: str) -> tuple[str, ...]:
     return names
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skypath",
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int, default=50)
     mc.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
     mc.add_argument("--outage-step", type=float, default=evaluation.OUTAGE_STEP)
-    mc.add_argument("--jobs", type=int, default=1)
+    mc.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 

@@ -287,30 +287,57 @@ def network_covered(points_xy: np.ndarray, scenario: Scenario) -> np.ndarray:
 
     Equivalent to max-over-stations snr >= threshold, organized so the
     expensive LoS test runs only where the NLoS disk alone cannot decide.
+
+    The points are sorted by x once, and each station works on the slice of
+    points within its larger disk radius r of its own x, padded by
+    1e-9 * (r + |bx| + 1). A point in a disk has fl(dx**2) <= d2 <= r**2, so
+    its |x - bx| exceeds r by a few ulps at most, far inside the pad. On its
+    slice each station marks the points in its NLoS disk covered and keeps a
+    mask of those in its LoS disk. The stations then run the fan test in
+    order of falling LoS count, each on its LoS points not yet covered. The
+    distances, the station order and the points each fan test sees are those
+    of the full (points x stations) distance matrix, so the mask is too, but
+    that matrix is never built: beyond a few length-n arrays no temporary
+    outgrows one station's slice, and the LoS masks kept between the passes
+    take one byte per (station, slice point) pair, an eighth of the
+    matrix's float distances at most.
     """
     params = scenario.radio
     xy = _as_points(points_xy)
     n = xy.shape[0]
+    covered = np.zeros(n, dtype=bool)
     if not scenario.base_stations:
-        return np.zeros(n, dtype=bool)
+        return covered
     d_los_sq = coverage_disk_radius_sq(params, LinkState.LOS)
     d_nlos_sq = coverage_disk_radius_sq(params, LinkState.NLOS)
 
+    order = np.argsort(xy[:, 0], kind="stable")  # keeps a lattice's column order
+    xs, ys = xy[order, 0], xy[order, 1]
     bs_xy = np.array([bs.xy for bs in scenario.base_stations])
-    d2 = (xy[:, 0:1] - bs_xy[None, :, 0]) ** 2 + (xy[:, 1:2] - bs_xy[None, :, 1]) ** 2
-    d2 = d2.reshape(n, len(scenario.base_stations))
-    covered = (d2 <= d_nlos_sq).any(axis=1)
+    r = math.sqrt(max(d_los_sq, d_nlos_sq))
+    reach = r + 1e-9 * (r + np.abs(bs_xy[:, 0]) + 1.0)
+    first = np.searchsorted(xs, bs_xy[:, 0] - reach, side="left").tolist()
+    last = np.searchsorted(xs, bs_xy[:, 0] + reach, side="right").tolist()
 
-    candidates = (d2 <= d_los_sq).sum(axis=0)
+    hit = np.zeros(n, dtype=bool)  # covered, in x order
+    los = []
+    for (bx, by), a, b in zip(bs_xy.tolist(), first, last):
+        d2 = (xs[a:b] - bx) ** 2 + (ys[a:b] - by) ** 2
+        hit[a:b] |= d2 <= d_nlos_sq
+        los.append(d2 <= d_los_sq)
+    candidates = np.array([np.count_nonzero(m) for m in los])
+
     for k in np.argsort(-candidates):
         if candidates[k] == 0:
             continue
-        pend = np.flatnonzero(~covered & (d2[:, k] <= d_los_sq))
+        a = first[k]
+        pend = a + np.flatnonzero(los[k] & ~hit[a:last[k]])
         if pend.size == 0:
             continue
         bs = scenario.base_stations[k]
-        blocked = fan_blocked(bs.xy, xy[pend], scenario.city, params)
-        covered[pend[~blocked]] = True
+        blocked = fan_blocked(bs.xy, np.column_stack([xs[pend], ys[pend]]), scenario.city, params)
+        hit[pend[~blocked]] = True
+    covered[order] = hit
     return covered
 
 

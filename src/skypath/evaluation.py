@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,6 +112,8 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.jobs < 1:
+            raise ValueError(f"need at least one job, got {self.jobs}")
         unknown = set(self.planners) - set(PLANNER_ORDER)
         if unknown:
             raise ValueError(f"unknown planners: {sorted(unknown)}")
@@ -306,6 +307,10 @@ def run_monte_carlo(scenario: Scenario, config: MonteCarloConfig) -> list[Planne
     """
     tasks = [(scenario, config, i) for i in range(config.trials)]
     if config.jobs > 1:
+        # Imported here: the process pool pulls in multiprocessing, which a
+        # plain ``import skypath`` should not pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             per_trial = list(pool.map(_run_trial, tasks))
     else:

@@ -418,3 +418,36 @@ def node_graph_base(scenario, maps, commons):
             waypoints.append(p)
     visited = tuple(graph.nodes[i].bs_id for i in path if graph.nodes[i].kind == NODE_BS)
     return graph, (waypoints, visited)
+
+
+def dense_network_covered(points_xy, scenario):
+    """Reference for ``coverage.network_covered``: the dense (points x stations)
+    distance matrix it replaced, copied unchanged. Only the fan test
+    ``coverage.fan_blocked`` is shared.
+    """
+    from skypath.coverage import LinkState, _as_points, coverage_disk_radius_sq, fan_blocked
+
+    params = scenario.radio
+    xy = _as_points(points_xy)
+    n = xy.shape[0]
+    if not scenario.base_stations:
+        return np.zeros(n, dtype=bool)
+    d_los_sq = coverage_disk_radius_sq(params, LinkState.LOS)
+    d_nlos_sq = coverage_disk_radius_sq(params, LinkState.NLOS)
+
+    bs_xy = np.array([bs.xy for bs in scenario.base_stations])
+    d2 = (xy[:, 0:1] - bs_xy[None, :, 0]) ** 2 + (xy[:, 1:2] - bs_xy[None, :, 1]) ** 2
+    d2 = d2.reshape(n, len(scenario.base_stations))
+    covered = (d2 <= d_nlos_sq).any(axis=1)
+
+    candidates = (d2 <= d_los_sq).sum(axis=0)
+    for k in np.argsort(-candidates):
+        if candidates[k] == 0:
+            continue
+        pend = np.flatnonzero(~covered & (d2[:, k] <= d_los_sq))
+        if pend.size == 0:
+            continue
+        bs = scenario.base_stations[k]
+        blocked = fan_blocked(bs.xy, xy[pend], scenario.city, params)
+        covered[pend[~blocked]] = True
+    return covered

@@ -134,6 +134,16 @@ class TestMonteCarlo:
         seeds = {row[0] for row in parsed[1:]}
         assert seeds == {"2", "3", "4", "5"}
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_rejected(self, tmp_path, open_field_file, capsys, jobs):
+        out_dir = tmp_path / "mc"
+        with pytest.raises(SystemExit) as exc:
+            run(["montecarlo", "--scenario", open_field_file, "--out-dir", out_dir,
+                 "--trials", 1, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs: expected an integer >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_planner_rejected(self, tmp_path, open_field_file):
         code = run(["montecarlo", "--scenario", open_field_file,
                     "--out-dir", tmp_path, "--trials", 1, "--planners", "straight"])

@@ -27,6 +27,7 @@ from conftest import (
     border_walk_oracle,
     cell_merge_oracle,
     certified_radii_oracle,
+    dense_network_covered,
     direct_snr_max,
     march_coverage_radius,
     open_field_scenario,
@@ -884,3 +885,174 @@ class TestBatchedCommonBorders:
         # a map with no border points still holds the other map's points at its apex
         cb = common_border_points(a, flat)
         assert_bitwise(cb.points, a.border_points[points_in_coverage(a.border_points, flat)])
+
+
+def _ulp_steps(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    toward = math.inf if k > 0 else -math.inf
+    for _ in range(abs(k)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _boundary_cloud(stations, radii, ulps=2):
+    """Points at x = bx +/- r and up to ``ulps`` ulps either side, at y = by,
+    and the same with the roles of x and y swapped, for every station and
+    radius: the points the x window of ``network_covered`` must not drop."""
+    pts = []
+    for bx, by in stations:
+        for r in radii:
+            for sign in (1.0, -1.0):
+                for k in range(-ulps, ulps + 1):
+                    pts.append((_ulp_steps(bx + sign * r, k), by))
+                    pts.append((bx, _ulp_steps(by + sign * r, k)))
+    return np.array(pts).reshape(-1, 2)
+
+
+def _exact_boundary_points(bx, by, d_sq, rng, tries=400):
+    """Points whose squared distance from (bx, by), rounded as
+    ``network_covered`` rounds it, equals d_sq exactly."""
+    r = math.sqrt(d_sq)
+    found = []
+    for _ in range(tries):
+        u = rng.uniform(0.9, 1.0)
+        dx = r * u
+        dy = math.sqrt(max(d_sq - dx * dx, 0.0))
+        for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            x, y = bx + sx * dx, by + sy * dy
+            if (x - bx) * (x - bx) + (y - by) * (y - by) == d_sq:
+                found.append((x, y))
+    return np.array(found).reshape(-1, 2)
+
+
+def _scenario_with(buildings, stations, params):
+    """A 3 km city holding ``buildings`` and the given stations, minus any
+    station inside a footprint (a scenario rejects those)."""
+    from skypath.scenario import Mission, Scenario
+
+    city = CityMap(3000.0, 3000.0, tuple(buildings))
+    stations = [(x, y) for x, y in stations if not city.point_in_any_footprint(x, y)]
+    return Scenario(
+        city=city,
+        base_stations=tuple(
+            BaseStation(id=i + 1, position=Point3(x, y, params.bs_height))
+            for i, (x, y) in enumerate(stations)
+        ),
+        radio=params,
+        mission=Mission(start=Point3(0.0, 0.0, params.uav_altitude),
+                        goal=Point3(1.0, 1.0, params.uav_altitude)),
+    )
+
+
+def _default_placement(seed):
+    from skypath.scenario import build_default_scenario, place_base_stations
+
+    base = build_default_scenario(seed=1, k=25)
+    stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=seed)
+    return base.with_base_stations(stations)
+
+
+def assert_same_mask(points, scenario):
+    got = network_covered(points, scenario)
+    expected = dense_network_covered(points, scenario)
+    assert got.dtype == np.bool_ and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
+class TestWindowedDirectModel:
+    """``network_covered``'s per-station x windows against the dense matrix."""
+
+    @staticmethod
+    def _checked(monkeypatch, module):
+        seen = []
+
+        def check(points, scenario):
+            seen.append(len(points))
+            return assert_same_mask(points, scenario)
+
+        monkeypatch.setattr(module, "network_covered", check)
+        return seen
+
+    @pytest.mark.parametrize("seed", [200, 201, 202, 203])
+    def test_every_grid_call(self, monkeypatch, seed):
+        from skypath import planner
+
+        seen = self._checked(monkeypatch, planner)
+        planner.grid_baseline_plan(_default_placement(seed))
+        assert len(seen) >= 5  # lattice, four edge directions, then the snaps
+
+    def test_outage_samples(self, monkeypatch):
+        from skypath import evaluation
+
+        seen = self._checked(monkeypatch, evaluation)
+        for seed in range(100, 110):
+            evaluation.evaluate_planners(_default_placement(seed))
+        assert len(seen) >= 10
+
+    @pytest.mark.parametrize("layout", ["open field", "small city"])
+    def test_points_on_and_next_to_the_window_edges(self, params, layout):
+        rng = np.random.default_rng(5)
+        buildings = small_city_scenario(seed=37).city.buildings if layout == "small city" else ()
+        radii = (R_LOS, R_NLOS)
+        for _ in range(40):
+            scn = _scenario_with(buildings, rng.uniform(0.0, 900.0, size=(3, 2)), params)
+            stations = [bs.xy for bs in scn.base_stations]
+            pts = np.vstack([_boundary_cloud(stations, radii),
+                             rng.uniform(-200.0, 1000.0, size=(300, 2))])
+            assert_same_mask(pts, scn)
+
+    def test_exact_disk_radii(self, params):
+        # In an open field the LoS disk decides; inside RINGED only the NLoS disk does.
+        rng = np.random.default_rng(9)
+        for d_sq, buildings in ((D_LOS_SQ, ()), (D_NLOS_SQ, RINGED)):
+            pts = _exact_boundary_points(1000.0, 1000.0, d_sq, rng)
+            assert len(pts) > 0
+            scn = _scenario_with(buildings, [(1000.0, 1000.0)], params)
+            assert network_covered(pts, scn).all()
+            assert_same_mask(pts, scn)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hypothesis_clouds(self, params, data):
+        coord = st.floats(0.0, 2000.0, allow_nan=False)
+        stations = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+        # repeated coordinates: stations sharing an x, points sharing the stations' x
+        if data.draw(st.booleans()):
+            stations.append((stations[0][0], data.draw(coord)))
+        radii = data.draw(st.lists(st.sampled_from([R_LOS, R_NLOS, 0.0, 1.0]),
+                                   min_size=1, max_size=2))
+        pts = _boundary_cloud(stations, radii, ulps=data.draw(st.integers(0, 2)))
+        extra = data.draw(st.lists(st.tuples(coord, coord), max_size=20))
+        pts = np.vstack([pts, np.array(extra).reshape(-1, 2)])
+        buildings = small_city_scenario(seed=37).city.buildings if data.draw(st.booleans()) \
+            else RINGED
+        assert_same_mask(pts, _scenario_with(buildings, stations, params))
+
+    @pytest.mark.parametrize("case", [
+        "no points", "one point", "one station",
+        "repeated x", "stations left of every point", "stations right of every point",
+        "station without LoS candidates", "no stations",
+    ])
+    def test_edge_cases(self, params, case):
+        buildings = small_city_scenario(seed=37).city.buildings
+        rng = np.random.default_rng(3)
+        cloud = rng.uniform(0.0, 800.0, size=(400, 2))
+        stations = [(240.0, 320.0), (640.0, 480.0), (400.0, 400.0), (80.0, 720.0)]
+        pts = {
+            "no points": [],
+            "one point": [[250.0, 330.0]],
+            "repeated x": np.column_stack([np.repeat([200.0, 330.5, 600.0], 150),
+                                           rng.uniform(0.0, 800.0, 450)]),
+            "stations left of every point": cloud + [1500.0, 0.0],
+        }.get(case, cloud)
+        stations = {
+            "one station": stations[:1],
+            "stations left of every point": [(1000.0, 300.0), (1200.0, 500.0), (1400.0, 100.0)],
+            "stations right of every point": [(900.0, 300.0), (1100.0, 500.0), (1300.0, 100.0)],
+            "station without LoS candidates": stations + [(2900.0, 400.0), (400.0, 2900.0)],
+            "no stations": [],
+        }.get(case, stations)
+        scn = _scenario_with(buildings, stations, params)
+        assert len(scn.base_stations) == len(stations)
+        assert_same_mask(pts, scn)

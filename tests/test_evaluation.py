@@ -260,6 +260,26 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=1, planners=("warp",))
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="at least one job"):
+            MonteCarloConfig(trials=1, jobs=jobs)
+
+    def test_import_leaves_the_process_pool_out(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, skypath; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 class TestReporting:
     def test_csv_columns_and_rows(self, tmp_path):
