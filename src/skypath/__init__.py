@@ -12,16 +12,13 @@ from .coverage import (
     CommonBorder,
     CoverageMap,
     LinkState,
-    azimuth_coverage_radius,
     build_all_coverage,
     build_coverage_map,
-    classify_los,
     common_border_points,
     coverage_disk_radius_sq,
     discretize_border,
     network_covered,
     point_in_any_sector,
-    snr,
 )
 from .evaluation import (
     MonteCarloConfig,
@@ -34,13 +31,7 @@ from .evaluation import (
     write_report_csv,
     write_summary_json,
 )
-from .geometry import (
-    Building,
-    CircularSector,
-    Point3,
-    point_in_sector,
-    segment_clears_buildings,
-)
+from .geometry import Building, CircularSector, Point3
 from .planner import (
     BaseResult,
     GridPlanResult,

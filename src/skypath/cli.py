@@ -198,19 +198,18 @@ def cmd_generate(args) -> int:
 
 def cmd_plan(args) -> int:
     scenario = _load_with_overrides(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    angular_step = _angular_step(args)
     reports, trajectories = evaluate_planners(
         scenario,
         planners=args.planners,
         border_samples=args.q,
-        angular_step=_angular_step(args),
+        angular_step=angular_step,
         grid_step=args.grid_step,
     )
     if args.dump_coverage is not None:
-        maps, _ = build_all_coverage(
-            scenario, angular_step=_angular_step(args), border_samples=args.q
-        )
+        maps, _ = build_all_coverage(scenario, angular_step=angular_step, border_samples=args.q)
         save_coverage_dump(maps, args.dump_coverage)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     infeasible = False
     for r in reports:
         traj = trajectories.get(r.planner)
@@ -227,7 +226,6 @@ def cmd_plan(args) -> int:
 
 def cmd_eval(args) -> int:
     scenario = _load_with_overrides(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     reports, _ = evaluate_planners(
         scenario,
         planners=args.planners,
@@ -237,6 +235,7 @@ def cmd_eval(args) -> int:
         grid_step=args.grid_step,
         outage_step=args.outage_step,
     )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(reports, args.out_dir / "eval.csv")
     write_summary_json(summarize_reports(reports), args.out_dir / "summary.json")
     for r in reports:
@@ -248,7 +247,6 @@ def cmd_eval(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     scenario = _load_with_overrides(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     config = MonteCarloConfig(
         trials=args.trials,
         base_seed=args.base_seed,
@@ -259,6 +257,7 @@ def cmd_montecarlo(args) -> int:
         outage_step=args.outage_step,
         jobs=args.jobs,
     )
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     reports = run_monte_carlo(scenario, config)
     write_report_csv(reports, args.out_dir / "montecarlo.csv")
     summary = summarize_reports(reports)

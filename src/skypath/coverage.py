@@ -1,4 +1,4 @@
-"""Per-station coverage: SNR model, LoS classification, wedge coverage maps.
+"""Per-station coverage: disk radii, roof blocking, the direct model, wedge maps.
 
 A station's coverage at the flight altitude is approximated by a union of
 convex circular wedges around the station's plan-view projection, held by
@@ -18,9 +18,10 @@ radius of one building is (entry distance) * (h - h_g) / (roof - h_g).
 The certified radii and the direct model's fan test both take the first
 blocking radius min_b factor_b * t0_b(theta) from one kernel, evaluating each
 building only over its own azimuth span, with every span computed in one
-pass of array operations. It agrees exactly with the generic
-per-segment slab test, except where a segment touches a footprint only at a
-corner, whose touch the two round differently.
+pass of array operations. The entry distance t0 comes from a slab clip: per
+axis, the ray parameters where the ray lies within the footprint's closed
+extent, intersected over both axes and clamped at 0. A roof counts as
+blocking up to GEOM_EPS above its height, so grazing contact is blocked.
 
 Wedge radii are certified per azimuth cell: the infimum of R over the whole
 cell is computed exactly (entry distances at cell edges plus corner and
@@ -48,15 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    GEOM_EPS,
-    TWO_PI,
-    BuildingArrays,
-    CircularSector,
-    Point3,
-    point_sector_distance,
-    segments_clear_buildings,
-)
+from .geometry import GEOM_EPS, TWO_PI, CircularSector, point_sector_distance
 from .scenario import BaseStation, CityMap, InvalidConfigError, RadioParams, Scenario
 
 # Angular resolution and sector post-processing defaults (0.5 degree cells).
@@ -64,8 +57,6 @@ ANGULAR_STEP = TWO_PI / 720.0
 RADIUS_MERGE_TOL = 2.0
 MIN_SECTOR_RADIUS = 5.0
 BORDER_SAMPLES = 64
-# Radial march step of the brute-force coverage oracle.
-MARCH_STEP = 0.5
 # Claimed radii are shaved by this margin so boundary points keep a strictly
 # positive SNR margin under the grazing-counts-as-blocked rule.
 RADIUS_SAFETY = 0.01
@@ -80,26 +71,6 @@ SWEEP_BATCH = 16_384
 class LinkState(Enum):
     LOS = "los"
     NLOS = "nlos"
-
-
-def classify_los(p: Point3, bs: BaseStation, city: CityMap) -> LinkState:
-    """LoS iff the straight UAV-station segment clears every building."""
-    if segments_clear_buildings(p.as_array(), bs.position.as_array(), city)[0]:
-        return LinkState.LOS
-    return LinkState.NLOS
-
-
-def snr(p: Point3, bs: BaseStation, params: RadioParams, city: CityMap) -> float:
-    """Linear SNR of the station-to-UAV link at point p.
-
-    Distances below 1 m are clamped (near-field guard).
-    """
-    d = max(p.distance_to(bs.position), 1.0)
-    if classify_los(p, bs, city) is LinkState.LOS:
-        alpha, beta = params.alpha_los, params.beta_los
-    else:
-        alpha, beta = params.alpha_nlos, params.beta_nlos
-    return params.tx_power_over_noise * beta * d ** (-alpha)
 
 
 def coverage_disk_radius_sq(params: RadioParams, state: LinkState) -> float:
@@ -124,40 +95,6 @@ def _as_points(points_xy) -> np.ndarray:
     """
     xy = np.atleast_2d(np.asarray(points_xy, dtype=float))
     return xy.reshape(0, 2) if xy.size == 0 else xy
-
-
-def _crop_mask(arrs: BuildingArrays, keep: np.ndarray) -> BuildingArrays:
-    out = BuildingArrays.__new__(BuildingArrays)
-    out.x0, out.x1 = arrs.x0[keep], arrs.x1[keep]
-    out.y0, out.y1 = arrs.y0[keep], arrs.y1[keep]
-    out.h = arrs.h[keep]
-    return out
-
-
-def snr_per_station(points_xy: np.ndarray, bs: BaseStation, params: RadioParams,
-                    city: CityMap) -> np.ndarray:
-    """Linear SNR from one station at many plan positions (flight altitude)."""
-    xy = _as_points(points_xy)
-    bx, by = bs.xy
-    n = xy.shape[0]
-    if n == 0:
-        return np.empty(0)
-    p0 = np.column_stack([xy, np.full(n, params.uav_altitude)])
-    p1 = np.array([bx, by, params.bs_height])
-    lo = np.minimum(xy.min(axis=0), [bx, by])
-    hi = np.maximum(xy.max(axis=0), [bx, by])
-    arrs = city.building_arrays()
-    box = (arrs.x1 >= lo[0]) & (arrs.x0 <= hi[0]) & (arrs.y1 >= lo[1]) & (arrs.y0 <= hi[1])
-    los = segments_clear_buildings(p0, p1, _crop_mask(arrs, box))
-    d = np.sqrt(
-        (xy[:, 0] - bx) ** 2
-        + (xy[:, 1] - by) ** 2
-        + (params.uav_altitude - params.bs_height) ** 2
-    )
-    d = np.maximum(d, 1.0)
-    alpha = np.where(los, params.alpha_los, params.alpha_nlos)
-    beta = np.where(los, params.beta_los, params.beta_nlos)
-    return params.tx_power_over_noise * beta * d ** (-alpha)
 
 
 _Blockers = namedtuple("_Blockers", "x0 x1 y0 y1 factor crit_az crit_d")
@@ -194,8 +131,11 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
     """min over buildings b of factor_b * t0_b(theta) at sorted azimuths in [0, 2*pi].
 
     t0_b(theta) is the entry distance of the ray from the station at azimuth
-    theta into b's footprint, +inf where the ray misses it, found by the slab
-    clip of ``geometry.segments_clear_buildings`` along (cos theta, sin theta).
+    theta into b's footprint, +inf where the ray misses it. It is the slab
+    clip along (cos theta, sin theta): per axis, the interval of t where the
+    ray's coordinate lies in the footprint's closed extent (all t or none for
+    a zero direction component); t0 is the larger lower end, clamped at 0,
+    where it does not pass the smaller upper end.
     The link to the point at polar (theta, r) is blocked when r >= the
     returned value. Each building is evaluated only at the azimuths
     inside its subtended span, padded by AZIMUTH_GUARD (every azimuth when its
@@ -261,9 +201,11 @@ def fan_blocked(center, points_xy: np.ndarray, city: CityMap, params: RadioParam
     """Blocking test for a fan of station-to-point segments, one shared station.
 
     The segment to a point at polar (az, r) around the station projection is
-    blocked iff r >= ``_first_blocking_radius`` at az. This agrees with the
-    generic per-segment slab test except for a segment through a corner at an
-    end of a footprint's subtended span, where the two round differently.
+    blocked iff r >= ``_first_blocking_radius`` at az. The slab clip runs
+    along (cos az, sin az), not along the point-to-station difference, so a
+    segment that touches a footprint only at a corner at an end of its
+    subtended span may round either way; every other segment is decided
+    exactly.
     """
     xy = _as_points(points_xy)
     n = xy.shape[0]
@@ -439,10 +381,14 @@ class CommonBorder:
 
 
 def points_in_coverage(points_xy: np.ndarray, cov: CoverageMap) -> np.ndarray:
-    """Membership of points (n, 2) in the map, with the slack of ``points_in_sectors``.
+    """Membership of points (n, 2) in the map's closed wedges, with slack.
 
-    The wedges are sorted and disjoint, so only the wedge bracketing a point's
-    azimuth and its two neighbours (for the slack and the 2*pi wrap) can hold it.
+    The radial slack is GEOM_EPS; the angular slack is GEOM_EPS of arc length
+    at the point's own radius, so the tolerance is uniform in meters. Points
+    within GEOM_EPS of the apex belong to any map with a wedge of positive
+    radius. The wedges are sorted and disjoint, so only the wedge bracketing a
+    point's azimuth and its two neighbours (for the slack and the 2*pi wrap)
+    can hold it.
     """
     xy = _as_points(points_xy)
     if cov.is_empty:
@@ -473,22 +419,6 @@ def distance_to_coverage(p, cov: CoverageMap) -> float:
     if cov.is_empty:
         return math.inf
     return min(point_sector_distance(p, s) for s in cov.sectors)
-
-
-def azimuth_coverage_radius(bs: BaseStation, theta: float, city: CityMap,
-                            params: RadioParams) -> float:
-    """Largest r with the whole radial segment out to r meeting the threshold.
-
-    Closed form per the monotone-blocking argument; the radial march at
-    MARCH_STEP is the brute-force reference for this value.
-    """
-    r_los = math.sqrt(coverage_disk_radius_sq(params, LinkState.LOS))
-    r_nlos = math.sqrt(coverage_disk_radius_sq(params, LinkState.NLOS))
-    if r_los <= 0.0:
-        return 0.0
-    blk = _blockers(bs.xy, city, params, r_los)
-    first_block = float(_first_blocking_radius(np.array([theta % TWO_PI]), blk)[0])
-    return min(r_los, max(r_nlos, first_block))
 
 
 def _certified_cell_radii(center, city: CityMap, params: RadioParams, n_cells: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from .planner import (
     optimize_trajectory,
     straight_line_plan,
 )
-from .scenario import Scenario, place_base_stations
+from .scenario import InvalidConfigError, Scenario, place_base_stations
 
 OUTAGE_STEP = 1.0
 
@@ -110,6 +110,8 @@ class MonteCarloConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        """Rejects settings every trial would fail on, before any trial runs:
+        the trial handler records a failing trial rather than raising."""
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.jobs < 1:
@@ -117,6 +119,11 @@ class MonteCarloConfig:
         unknown = set(self.planners) - set(PLANNER_ORDER)
         if unknown:
             raise ValueError(f"unknown planners: {sorted(unknown)}")
+        check_map_settings(self.angular_step, self.border_samples)
+        if self.grid_step <= 0.0:
+            raise InvalidConfigError(f"grid step must be positive: {self.grid_step}")
+        if self.outage_step <= 0.0:
+            raise ValueError(f"sampling step must be positive: {self.outage_step}")
 
 
 def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int):

@@ -54,10 +54,6 @@ class InfeasibleEndpointError(Exception):
         )
 
 
-class EdgeSafetyError(AssertionError):
-    """A graph edge failed the dense-sampling coverage audit."""
-
-
 @dataclass(frozen=True)
 class GraphNode:
     id: int
@@ -789,27 +785,8 @@ def grid_baseline_plan(scenario: Scenario, grid_step: float = GRID_STEP) -> Grid
 
 
 # ---------------------------------------------------------------------------
-# audits + persistence
+# persistence
 # ---------------------------------------------------------------------------
-
-
-def audit_edge_safety(graph: PlanGraph, scenario: Scenario, step: float = 0.5) -> None:
-    """Dense-sample every edge against the direct SNR model; raise on violation."""
-    if not graph.edges:
-        return
-    p0 = np.array([[graph.nodes[u].x, graph.nodes[u].y] for u, _, _ in graph.edges])
-    p1 = np.array([[graph.nodes[v].x, graph.nodes[v].y] for _, v, _ in graph.edges])
-    pts, seg_idx = _segment_samples(p0, p1, step)
-    ok_samples = network_covered(pts, scenario)
-    if ok_samples.all():
-        return
-    bad = seg_idx[~ok_samples][0]
-    u, v, _ = graph.edges[bad]
-    raise EdgeSafetyError(
-        f"edge {u}-{v} leaves coverage: "
-        f"({graph.nodes[u].x:.1f},{graph.nodes[u].y:.1f}) -> "
-        f"({graph.nodes[v].x:.1f},{graph.nodes[v].y:.1f})"
-    )
 
 
 def trajectory_to_dict(t: Trajectory) -> dict:

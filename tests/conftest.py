@@ -1,9 +1,16 @@
+"""Shared scenarios and the suite's reference models.
+
+The reference models are written out here so that the code they check shares
+no kernel with them: the explicit SNR model, a generic per-segment slab test
+for roof blocking, sector membership over every sector at once, and brute
+force or unbatched copies of the planner's searches and map building.
+"""
+
 import math
 
 import numpy as np
 
-from skypath.coverage import snr_per_station
-from skypath.geometry import Point3
+from skypath.geometry import GEOM_EPS, TWO_PI, BuildingArrays, Point3
 from skypath.scenario import (
     BaseStation,
     CityMap,
@@ -86,6 +93,65 @@ def march_coverage_radius(bs, theta, scenario, dr=0.5, r_cap=600.0):
     return last
 
 
+def segments_clear_buildings(p0, p1, arrs: BuildingArrays) -> np.ndarray:
+    """Reference blocking test for 3D segments (n, 3) against every building.
+
+    True where the segment stays strictly above every footprint it crosses in
+    plan view. The crossed parameter interval is the slab clip of the plan
+    projection; altitude is linear in the parameter, so its minimum over the
+    interval sits at an end. Clearance within GEOM_EPS counts as blocked.
+    """
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
+    p0, p1 = np.broadcast_arrays(p0, p1)
+    out = np.ones(p0.shape[0], dtype=bool)
+    if len(arrs) == 0:
+        return out
+    chunk = max(1, 50_000 // len(arrs))  # (segment, building) pairs, cache-sized
+    for s in range(0, p0.shape[0], chunk):
+        a, d = p0[s:s + chunk], p1[s:s + chunk] - p0[s:s + chunk]
+        txmin, txmax = _slab_interval_oracle(a[:, 0:1], d[:, 0:1], arrs.x0, arrs.x1)
+        tymin, tymax = _slab_interval_oracle(a[:, 1:2], d[:, 1:2], arrs.y0, arrs.y1)
+        t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
+        t_hi = np.minimum(np.minimum(txmax, tymax), 1.0)
+        z_min = np.minimum(a[:, 2:3] + d[:, 2:3] * t_lo, a[:, 2:3] + d[:, 2:3] * t_hi)
+        blocked = (t_lo <= t_hi) & (z_min <= arrs.h + GEOM_EPS)
+        out[s:s + chunk] = ~blocked.any(axis=1)
+    return out
+
+
+def snr_per_station(points_xy, bs, params, city) -> np.ndarray:
+    """Linear SNR from one station at plan positions (n, 2) at the flight
+    altitude, by explicit substitution into the LoS/NLoS pathloss model.
+
+    The link is LoS iff the UAV-station segment clears every building;
+    distances below 1 m are clamped (near-field guard).
+    """
+    xy = np.asarray(points_xy, dtype=float).reshape(-1, 2)
+    n = xy.shape[0]
+    if n == 0:
+        return np.empty(0)
+    bx, by = bs.xy
+    # only buildings that reach into the links' bounding box can block them
+    lo = np.minimum(xy.min(axis=0), [bx, by])
+    hi = np.maximum(xy.max(axis=0), [bx, by])
+    arrs = city.building_arrays()
+    box = (arrs.x1 >= lo[0]) & (arrs.x0 <= hi[0]) & (arrs.y1 >= lo[1]) & (arrs.y0 <= hi[1])
+    box &= arrs.h + GEOM_EPS >= min(params.uav_altitude, params.bs_height)
+    near = BuildingArrays(())
+    near.x0, near.x1, near.y0, near.y1, near.h = (
+        a[box] for a in (arrs.x0, arrs.x1, arrs.y0, arrs.y1, arrs.h)
+    )
+    p0 = np.column_stack([xy, np.full(n, params.uav_altitude)])
+    los = segments_clear_buildings(p0, np.array([bx, by, params.bs_height]), near)
+    d = np.sqrt((xy[:, 0] - bx) ** 2 + (xy[:, 1] - by) ** 2
+                + (params.uav_altitude - params.bs_height) ** 2)
+    d = np.maximum(d, 1.0)
+    alpha = np.where(los, params.alpha_los, params.alpha_nlos)
+    beta = np.where(los, params.beta_los, params.beta_nlos)
+    return params.tx_power_over_noise * beta * d ** (-alpha)
+
+
 def direct_snr_max(points_xy, scenario) -> np.ndarray:
     """Best-station SNR at each point, evaluated by explicit substitution."""
     pts = np.atleast_2d(np.asarray(points_xy, dtype=float))
@@ -93,6 +159,46 @@ def direct_snr_max(points_xy, scenario) -> np.ndarray:
     for bs in scenario.base_stations:
         best = np.maximum(best, snr_per_station(pts, bs, scenario.radio, scenario.city))
     return best
+
+
+def points_in_sectors(xy, center, starts, spans, radii) -> np.ndarray:
+    """Reference membership of points (n, 2) in any of m sectors sharing one
+    center, every point against every sector.
+
+    Radial slack is GEOM_EPS; angular slack is GEOM_EPS of arc length at the
+    point's own radius; the shared apex belongs to every sector of positive
+    radius.
+    """
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    dx = xy[:, 0] - center[0]
+    dy = xy[:, 1] - center[1]
+    r = np.hypot(dx, dy)
+    az = np.arctan2(dy, dx)
+    az = np.where(az < 0.0, az + TWO_PI, az)
+    ang_tol = GEOM_EPS / np.maximum(r, GEOM_EPS)
+    delta = (az[:, None] - starts[None, :]) % TWO_PI
+    in_ang = (delta <= spans[None, :] + ang_tol[:, None]) | (
+        delta >= TWO_PI - ang_tol[:, None]
+    )
+    in_rad = r[:, None] <= radii[None, :] + GEOM_EPS
+    return (in_ang & in_rad).any(axis=1) | ((r <= GEOM_EPS) & (radii > 0.0).any())
+
+
+def assert_edges_covered(graph, scenario, step=0.5) -> None:
+    """Sample every graph edge at most ``step`` apart and assert the best
+    station meets the SNR threshold at each sample, by ``direct_snr_max``."""
+    if not graph.edges:
+        return
+    ends = np.array([[(graph.nodes[u].x, graph.nodes[u].y), (graph.nodes[v].x, graph.nodes[v].y)]
+                     for u, v, _ in graph.edges])
+    d = ends[:, 1] - ends[:, 0]
+    counts = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / step).astype(int) + 1)
+    edge = np.repeat(np.arange(counts.size), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    lam = (np.arange(edge.size) - first) / (counts[edge] - 1)
+    pts = ends[edge, 0] + lam[:, None] * d[edge]
+    bad = edge[direct_snr_max(pts, scenario) < scenario.radio.snr_threshold]
+    assert bad.size == 0, f"edge {graph.edges[bad[0]][:2]} leaves coverage: {ends[bad[0]].tolist()}"
 
 
 def sampled_line_in_coverage(a, b, cov, step=0.5) -> bool:
@@ -220,7 +326,6 @@ def pairwise_common_borders(maps) -> dict:
     k's border points inside j's map, then j's border points inside k's map.
     """
     from skypath.coverage import points_in_coverage
-    from skypath.geometry import GEOM_EPS
 
     ids = sorted(maps)
     out = {}
@@ -274,7 +379,6 @@ def certified_radii_oracle(center, city, params, n_cells):
     of 1, which differs only for roofs within GEOM_EPS of the flight altitude.
     """
     from skypath.coverage import LinkState, coverage_disk_radius_sq
-    from skypath.geometry import GEOM_EPS
 
     two_pi = 2.0 * math.pi
     r_los = math.sqrt(coverage_disk_radius_sq(params, LinkState.LOS))

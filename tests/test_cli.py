@@ -151,3 +151,21 @@ class TestMonteCarlo:
         with pytest.raises(SystemExit):
             run(["montecarlo", "--scenario", open_field_file,
                  "--out-dir", tmp_path, "--trials", 1, "--planners", "teleport"])
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("plan", ["--angular-step-deg", 7]),
+    ("plan", ["--q", 0]),
+    ("eval", ["--angular-step-deg", 7]),
+    ("eval", ["--outage-step", 0]),
+    ("montecarlo", ["--trials", 0]),
+    ("montecarlo", ["--q", 0]),
+    ("montecarlo", ["--grid-step", 0]),
+    ("montecarlo", ["--outage-step", 0]),
+])
+def test_rejected_call_leaves_no_out_dir(tmp_path, open_field_file, command, extra):
+    # montecarlo rejects settings every trial would fail on rather than
+    # recording each trial as infeasible
+    out_dir = tmp_path / "out"
+    assert run([command, "--scenario", open_field_file, "--out-dir", out_dir, *extra]) == 1
+    assert not out_dir.exists()

@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skypath.coverage import (
-    MARCH_STEP,
     RADIUS_SAFETY,
     LinkState,
-    azimuth_coverage_radius,
+    _blockers,
+    _first_blocking_radius,
     build_all_coverage,
     build_coverage_map,
-    classify_los,
     common_border_points,
     coverage_disk_radius_sq,
+    fan_blocked,
     network_covered,
     points_in_coverage,
-    snr,
-    snr_per_station,
 )
 from skypath.geometry import GEOM_EPS, Building, Point3
 from skypath.scenario import BaseStation, CityMap, default_radio_params
@@ -32,8 +30,11 @@ from conftest import (
     march_coverage_radius,
     open_field_scenario,
     pairwise_common_borders,
+    points_in_sectors,
     ray_rect_entry_oracle,
+    segments_clear_buildings,
     small_city_scenario,
+    snr_per_station,
 )
 
 # Frozen by independent substitution into the pathloss model with defaults
@@ -44,6 +45,8 @@ D_LOS_SQ = 281203.58684358007
 D_NLOS_SQ = 15706.977288832506
 R_LOS = math.sqrt(D_LOS_SQ)  # ~530.286
 R_NLOS = math.sqrt(D_NLOS_SQ)  # ~125.327
+# Radial step of the march oracle for the azimuth coverage radius.
+MARCH_STEP = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -62,59 +65,55 @@ def bs(params):
 
 
 class TestClassifyLos:
+    """Single links through the fan test the direct model and the maps use."""
+
     def test_empty_city_everywhere_los(self, params, empty_city, bs):
-        p = Point3(1400.0, 900.0, params.uav_altitude)
-        assert classify_los(p, bs, empty_city) is LinkState.LOS
+        assert not fan_blocked(bs.xy, [(1400.0, 900.0)], empty_city, params)[0]
 
     def test_directly_above_bs(self, params, bs):
         city = CityMap(2000, 2000, (Building(900, 980, 900, 980, 70.0),))
-        p = Point3(bs.position.x, bs.position.y, params.uav_altitude)
-        assert classify_los(p, bs, city) is LinkState.LOS
+        assert not fan_blocked(bs.xy, [bs.xy], city, params)[0]
 
     def test_blocked_case_matches_geometry(self, params, bs):
         # wall between the UAV and the BS, taller than the crossing altitude
         city = CityMap(2000, 2000, (Building(1040, 1060, 900, 1100, 60.0),))
-        p = Point3(1100.0, 1000.0, params.uav_altitude)
-        assert classify_los(p, bs, city) is LinkState.NLOS
+        assert fan_blocked(bs.xy, [(1100.0, 1000.0)], city, params)[0]
 
 
 class TestSnr:
+    """The reference SNR model against values substituted by hand."""
+
     def test_los_value_by_substitution(self, params, empty_city, bs):
-        p = Point3(1100.0, 1000.0, params.uav_altitude)  # 100 m offset, dz 60
+        p = [(1100.0, 1000.0)]  # 100 m offset, dz 60
         expected = 1e12 * 1e-4 * math.hypot(100.0, 60.0) ** -2.2
-        assert snr(p, bs, params, empty_city) == pytest.approx(expected, rel=1e-12)
-        assert snr(p, bs, params, empty_city) == pytest.approx(2838.6196238508096, rel=1e-9)
+        assert snr_per_station(p, bs, params, empty_city)[0] == pytest.approx(expected, rel=1e-12)
+        assert snr_per_station(p, bs, params, empty_city)[0] == pytest.approx(
+            2838.6196238508096, rel=1e-9
+        )
 
     def test_nlos_value_by_substitution(self, params, bs):
         city = CityMap(2000, 2000, (Building(1040, 1060, 900, 1100, 79.0),))
-        p = Point3(1100.0, 1000.0, params.uav_altitude)
+        p = [(1100.0, 1000.0)]
         expected = 1e12 * 1e-4 * math.hypot(100.0, 60.0) ** -2.8
-        assert snr(p, bs, params, city) == pytest.approx(expected, rel=1e-12)
-        assert snr(p, bs, params, city) == pytest.approx(163.32231541829287, rel=1e-9)
+        assert snr_per_station(p, bs, params, city)[0] == pytest.approx(expected, rel=1e-12)
+        assert snr_per_station(p, bs, params, city)[0] == pytest.approx(
+            163.32231541829287, rel=1e-9
+        )
 
     def test_doubling_power_doubles_snr(self, params, empty_city, bs):
         doubled = default_radio_params(p_over_sigma2_db=120.0 + 10 * math.log10(2.0))
-        p = Point3(1234.0, 876.0, params.uav_altitude)
-        assert snr(p, bs, doubled, empty_city) == pytest.approx(
-            2.0 * snr(p, bs, params, empty_city), rel=1e-9
+        p = [(1234.0, 876.0)]
+        assert snr_per_station(p, bs, doubled, empty_city)[0] == pytest.approx(
+            2.0 * snr_per_station(p, bs, params, empty_city)[0], rel=1e-9
         )
 
     def test_near_field_clamp(self, params, empty_city):
         low = default_radio_params(uav_altitude=80.0, bs_height=79.9999999)
         bs0 = BaseStation(id=1, position=Point3(1000.0, 1000.0, low.bs_height))
-        p = Point3(1000.0, 1000.0, low.uav_altitude)
         # distance ~1e-7 clamps to 1 m
-        assert snr(p, bs0, low, empty_city) == pytest.approx(
+        assert snr_per_station([bs0.xy], bs0, low, empty_city)[0] == pytest.approx(
             low.tx_power_over_noise * low.beta_los, rel=1e-9
         )
-
-    def test_batch_matches_scalar(self, params, bs):
-        city = small_city_scenario(seed=4, k=1).city
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(100, 700, size=(40, 2))
-        batch = snr_per_station(pts, bs, params, city)
-        for xy, v in zip(pts, batch):
-            assert snr(Point3(xy[0], xy[1], params.uav_altitude), bs, params, city) == pytest.approx(v, rel=1e-12)
 
 
 class TestCoverageDiskRadius:
@@ -167,6 +166,14 @@ CERTIFIED_LAYOUTS = {
     ),
     "station inside a footprint": (Building(980.0, 1010.0, 990.0, 1040.0, 50.0),),
 }
+
+
+def azimuth_coverage_radius(bs, theta, city, params):
+    """Largest r with the whole radial segment out to r meeting the threshold."""
+    r_los, r_nlos = (math.sqrt(coverage_disk_radius_sq(params, s)) for s in LinkState)
+    first = _first_blocking_radius(np.array([theta % (2 * math.pi)]),
+                                   _blockers(bs.xy, city, params, r_los))
+    return min(r_los, max(r_nlos, first[0]))
 
 
 class TestAzimuthCoverageRadius:
@@ -237,8 +244,6 @@ class TestCertifiedRadii:
     def test_kernel_near_corner_azimuths(self, seed, params):
         # A ray a few ulps outside a footprint's subtended span can still hit
         # it after rounding; the span's pad must keep such azimuths in.
-        from skypath.coverage import _blockers, _first_blocking_radius
-
         rng = np.random.default_rng(seed)
         _, station, buildings, _, _ = next(c for c in _fan_cases() if c[0] == "random footprints")
         center = tuple(np.asarray(station) + rng.uniform(-0.5, 0.5, size=2))
@@ -375,8 +380,6 @@ class TestBuildCoverageMap:
                 length = np.hypot(*(p[1] - p[0]))
                 lam = np.linspace(0, 1, max(3, int(length) + 1))
                 seg = np.outer(1 - lam, p[0]) + np.outer(lam, p[1])
-                from skypath.geometry import points_in_sectors
-
                 starts = np.array([sector.theta_start])
                 spans = np.array([sector.span])
                 radii = np.array([sector.radius])
@@ -540,15 +543,12 @@ def _fan_cases():
 
 class TestNetworkCovered:
     def test_fan_blocking_matches_generic_path_across_wrap(self, params):
-        from skypath.coverage import fan_blocked
-        from skypath.geometry import segments_clear_buildings
-
         for name, station, buildings, pts, grazing in _fan_cases():
             city = CityMap(2000, 2000, buildings)
             fan = fan_blocked(station, pts, city, params)
             p0 = np.column_stack([pts, np.full(len(pts), params.uav_altitude)])
             p1 = np.array([*station, params.bs_height])
-            generic = ~segments_clear_buildings(p0, p1, city)
+            generic = ~segments_clear_buildings(p0, p1, city.building_arrays())
             agree = slice(None) if grazing is None else ~grazing
             np.testing.assert_array_equal(fan[agree], generic[agree], err_msg=name)
 
@@ -560,11 +560,8 @@ class TestNetworkCovered:
         slow = direct_snr_max(pts, scn) >= params.snr_threshold
         np.testing.assert_array_equal(fast, slow)
 
-    @pytest.mark.parametrize("entry", ["network_covered", "points_in_coverage",
-                                       "fan_blocked", "snr_per_station"])
+    @pytest.mark.parametrize("entry", ["network_covered", "points_in_coverage", "fan_blocked"])
     def test_empty_point_list_gives_empty_result(self, entry):
-        from skypath.coverage import fan_blocked
-
         scn = small_city_scenario(seed=11, k=2)
         bs = scn.base_stations[0]
         call = {
@@ -572,7 +569,6 @@ class TestNetworkCovered:
             "points_in_coverage": lambda pts: points_in_coverage(
                 pts, build_coverage_map(bs, scn.city, scn.radio)),
             "fan_blocked": lambda pts: fan_blocked(bs.xy, pts, scn.city, scn.radio),
-            "snr_per_station": lambda pts: snr_per_station(pts, bs, scn.radio, scn.city),
         }[entry]
         for empty in ([], np.empty((0, 2))):
             assert call(empty).shape == (0,)
@@ -613,8 +609,6 @@ class TestWedgeArrays:
 
     @pytest.mark.parametrize("seed", [100, 101, 102])
     def test_membership_matches_sector_reference(self, seed):
-        from skypath.geometry import points_in_sectors
-
         scn = small_city_scenario(seed=seed, k=6)
         maps, _ = build_all_coverage(scn)
         rng = np.random.default_rng(seed)

@@ -259,6 +259,10 @@ class TestMonteCarlo:
             MonteCarloConfig(trials=0)
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=1, planners=("warp",))
+        for bad in ({"border_samples": 0}, {"angular_step": 0.7}, {"grid_step": 0.0},
+                    {"outage_step": -1.0}):
+            with pytest.raises(ValueError):
+                MonteCarloConfig(trials=1, **bad)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_fewer_than_one_job(self, jobs):

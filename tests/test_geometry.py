@@ -5,22 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skypath.geometry import (
-    TWO_PI,
-    Building,
-    CircularSector,
-    Point3,
-    point_in_sector,
-    segment_clears_buildings,
-    wrap_angle,
-)
+from skypath.coverage import CoverageMap, points_in_coverage
+from skypath.geometry import TWO_PI, Building, CircularSector, Point3
+from skypath.planner import segments_in_coverage
 from skypath.scenario import CityMap
 
-from conftest import sampled_segment_clear
+from conftest import sampled_segment_clear, segments_clear_buildings
 
 
 def city_of(*buildings, width=2000.0, depth=2000.0):
     return CityMap(width=width, depth=depth, buildings=tuple(buildings))
+
+
+def wrap_angle(theta: float) -> float:
+    """The angle normalized to [0, 2*pi)."""
+    t = math.fmod(theta, TWO_PI)
+    if t < 0.0:
+        t += TWO_PI
+    return 0.0 if t >= TWO_PI else t
+
+
+def segment_clears_buildings(a: Point3, b: Point3, city: CityMap) -> bool:
+    """The reference slab test on the one segment ab."""
+    return bool(segments_clear_buildings(a.as_array(), b.as_array(), city.building_arrays())[0])
 
 
 class TestSegmentClearsBuildings:
@@ -105,6 +112,20 @@ def _clearance_margin(a, b, city):
     return margin
 
 
+def _map(*sectors) -> CoverageMap:
+    """A coverage map whose wedges are the given sectors, which share a center."""
+    return CoverageMap(bs_id=1, center=sectors[0].center,
+                       starts=[s.theta_start for s in sectors],
+                       ends=[s.theta_end for s in sectors],
+                       radii=[s.radius for s in sectors],
+                       border_points=np.empty((0, 2)))
+
+
+def point_in_sector(p, s: CircularSector) -> bool:
+    """Membership of p in the one-wedge map of s."""
+    return bool(points_in_coverage(np.asarray(p, dtype=float), _map(s))[0])
+
+
 class TestPointInSector:
     def test_center_always_inside(self):
         s = CircularSector((10.0, -3.0), 0.0, math.pi / 2, 10.0)
@@ -161,16 +182,8 @@ class TestPointInSector:
 
 
 def _inside(a, b, *sectors) -> bool:
-    """segments_in_coverage on the union of sectors sharing the origin."""
-    from skypath.coverage import CoverageMap
-    from skypath.planner import segments_in_coverage
-
-    cov = CoverageMap(bs_id=1, center=(0.0, 0.0),
-                      starts=[s.theta_start for s in sectors],
-                      ends=[s.theta_end for s in sectors],
-                      radii=[s.radius for s in sectors],
-                      border_points=np.empty((0, 2)))
-    return bool(segments_in_coverage(np.array(a), np.array(b), cov)[0])
+    """segments_in_coverage on the union of sectors sharing one center."""
+    return bool(segments_in_coverage(np.array(a), np.array(b), _map(*sectors))[0])
 
 
 class TestSegmentSectorCrossings:

@@ -23,7 +23,6 @@ from skypath.planner import (
     _distance,
     _free_search,
     Trajectory,
-    audit_edge_safety,
     base_trajectory,
     build_feasibility_graph,
     build_refined_graph,
@@ -37,8 +36,9 @@ from skypath.planner import (
 )
 from skypath.scenario import build_default_scenario, default_mission, place_base_stations
 
-from conftest import (direct_snr_max, free_search_oracle, line_check_tie, node_graph_base,
-                      open_field_scenario, sampled_line_in_coverage, small_city_scenario)
+from conftest import (assert_edges_covered, direct_snr_max, free_search_oracle, line_check_tie,
+                      node_graph_base, open_field_scenario, sampled_line_in_coverage,
+                      small_city_scenario)
 
 R_CLAIMED = math.sqrt(281203.58684358007) - 0.01  # claimed open-field radius
 
@@ -455,9 +455,9 @@ class TestRefinedGraph:
         if base is None:
             pytest.skip("disconnected")
         feas = build_feasibility_graph(scn, maps, commons)
-        audit_edge_safety(feas, scn, step=0.5)
+        assert_edges_covered(feas, scn, step=0.5)
         refined = build_refined_graph(base, scn, maps, commons)
-        audit_edge_safety(refined, scn, step=0.5)
+        assert_edges_covered(refined, scn, step=0.5)
 
 
 def _covered_leg(a, b, shared, maps):
