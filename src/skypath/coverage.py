@@ -30,11 +30,12 @@ so every claimed point holds SNR >= threshold with a strictly positive margin.
 Point-sampled azimuths would over-claim between samples and break the
 zero-outage guarantee.
 
-Maps are built in batches: the greedy cell merge steps over runs of equal
-cell radius rather than single cells, the border points are placed from the
-wedge arrays in one pass, and the common borders of all station pairs take
-one ``points_in_coverage`` call per map, on the stacked border points of
-every station whose coverage can reach it.
+``build_coverage_maps`` builds the maps of a batch of stations together:
+the blocking sweep and certified radii, the greedy cell merge, the border
+walk and the jumps of R each run once over the stacked arrays of all of
+them, and each map equals the one built alone, bit for bit. The common
+borders of all station pairs take one ``points_in_coverage`` call per map,
+on the stacked border points of every station whose coverage can reach it.
 """
 
 from __future__ import annotations
@@ -97,37 +98,42 @@ def _as_points(points_xy) -> np.ndarray:
     return xy.reshape(0, 2) if xy.size == 0 else xy
 
 
-_Blockers = namedtuple("_Blockers", "x0 x1 y0 y1 factor crit_az crit_d")
+_Blockers = namedtuple("_Blockers", "x0 x1 y0 y1 factor crit_az crit_d station")
 
 
-def _blockers(center, city: CityMap, params: RadioParams, reach: float) -> _Blockers:
-    """The buildings that can block a link from the station within ``reach``.
+def _blockers(centers, city: CityMap, params: RadioParams, reach: float) -> _Blockers:
+    """The buildings that can block a link from each station within ``reach``.
 
     A link is lowest over a footprint where it enters it, and it cannot be
     blocked before it gets there, so a roof first blocks at factor * t0, with
     t0 the ray's entry distance and factor = max((h - h_g) / (roof + GEOM_EPS
-    - h_g), 1). Returns the footprint extents minus the station's coordinates,
-    the factors, and the azimuths in [0, 2*pi) and distances of each
-    footprint's four corners and nearest point, as the rows of (5, nb) arrays.
+    - h_g), 1). ``centers`` holds one station's plan position or a (K, 2)
+    array of them. Each blocker is one (station, building) pair, ordered by
+    station, then building: the footprint extents minus that station's
+    coordinates, the factor, the station's index, and the azimuths in
+    [0, 2*pi) and distances of the footprint's four corners and nearest point,
+    as the rows of (5, nb) arrays.
     """
     arrs = city.building_arrays()
-    cx, cy = center
+    xy = np.reshape(centers, (-1, 2))
+    cx, cy = xy[:, :1], xy[:, 1:]
     rise = arrs.h + GEOM_EPS - params.bs_height
     tall = np.flatnonzero(rise > 0.0)
     factor = np.maximum((params.uav_altitude - params.bs_height) / rise[tall], 1.0)
     x0, x1 = arrs.x0[tall] - cx, arrs.x1[tall] - cx
     y0, y1 = arrs.y0[tall] - cy, arrs.y1[tall] - cy
     near_x, near_y = np.clip(0.0, x0, x1), np.clip(0.0, y0, y1)
-    keep = factor * np.hypot(near_x, near_y) <= reach
-    x0, x1, y0, y1, near_x, near_y = (a[keep] for a in (x0, x1, y0, y1, near_x, near_y))
+    keep = np.flatnonzero(factor * np.hypot(near_x, near_y) <= reach)
+    x0, x1, y0, y1, near_x, near_y = (a.ravel()[keep] for a in (x0, x1, y0, y1, near_x, near_y))
+    station, b = np.divmod(keep, tall.size)
     crit_x = np.stack([x0, x0, x1, x1, near_x])
     crit_y = np.stack([y0, y1, y0, y1, near_y])
     crit_az = np.arctan2(crit_y, crit_x)
     crit_az = np.where(crit_az < 0.0, crit_az + TWO_PI, crit_az)
-    return _Blockers(x0, x1, y0, y1, factor[keep], crit_az, np.hypot(crit_x, crit_y))
+    return _Blockers(x0, x1, y0, y1, factor[b], crit_az, np.hypot(crit_x, crit_y), station)
 
 
-def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
+def _first_blocking_radius(az: np.ndarray, blk: _Blockers, stations: int = 1) -> np.ndarray:
     """min over buildings b of factor_b * t0_b(theta) at sorted azimuths in [0, 2*pi].
 
     t0_b(theta) is the entry distance of the ray from the station at azimuth
@@ -142,10 +148,16 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
     closed footprint holds the station): the spans and their ``searchsorted``
     bounds come from one pass of array operations, and the (azimuth, building)
     pairs are expanded in batches of SWEEP_BATCH.
+
+    The blockers may belong to several stations, all swept at the same
+    azimuths: the result is flat, station by station, and a run of pairs of
+    station s indexes azimuth copy s, so stacking stations adds no work per
+    pair.
     """
-    out = np.full(az.size, np.inf)
+    m = az.size
+    out = np.full(stations * m, np.inf)
     nb = blk.factor.size
-    if az.size == 0 or nb == 0:
+    if m == 0 or nb == 0:
         return out
     near = blk.crit_az[4]
     rel = (blk.crit_az[:4] - near + math.pi) % TWO_PI - math.pi
@@ -160,17 +172,21 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
     runs = np.flatnonzero(count > 0)
     owner, first, count = runs % nb, first[runs], count[runs]
     ends = np.cumsum(count)
-    offset = first - (ends - count)  # azimuth index minus pair index, per run
+    # azimuth index, in the owner's copy, minus pair index, per run
+    offset = first + blk.station[owner] * m - (ends - count)
 
     cos_a, sin_a = np.cos(az), np.sin(az)
     # A zero direction (sin at azimuth 0) leaves its slab unbounded when the
     # station lies inside it and empty otherwise.
     zero_x, zero_y = cos_a == 0.0, sin_a == 0.0
-    patch = bool(zero_x.any() or zero_y.any())
     cos_a[zero_x], sin_a[zero_y] = 1.0, 1.0
+    if stations > 1:
+        cos_a, sin_a, zero_x, zero_y = (np.tile(a, stations) for a in (cos_a, sin_a, zero_x, zero_y))
     inside_x = (blk.x0 <= 0.0) & (blk.x1 >= 0.0)
     inside_y = (blk.y0 <= 0.0) & (blk.y1 >= 0.0)
-    axes = ((blk.x0, blk.x1, cos_a, zero_x, inside_x), (blk.y0, blk.y1, sin_a, zero_y, inside_y))
+    axes = [(lo_b, hi_b, d, zero if zero.any() else None, inside)
+            for lo_b, hi_b, d, zero, inside in ((blk.x0, blk.x1, cos_a, zero_x, inside_x),
+                                                (blk.y0, blk.y1, sin_a, zero_y, inside_y))]
 
     total = int(ends[-1]) if ends.size else 0
     for s in range(0, total, SWEEP_BATCH):
@@ -185,10 +201,11 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers) -> np.ndarray:
             di = d[i]
             t1, t2 = lo_b[b] / di, hi_b[b] / di
             tmin, tmax = np.minimum(t1, t2), np.maximum(t1, t2)
-            if patch:
-                z, ins = zero[i], inside[b]
-                tmin = np.where(z, np.where(ins, -np.inf, np.inf), tmin)
-                tmax = np.where(z, np.where(ins, np.inf, -np.inf), tmax)
+            if zero is not None:
+                z = np.flatnonzero(zero[i])
+                ins = inside[b[z]]
+                tmin[z] = np.where(ins, -np.inf, np.inf)
+                tmax[z] = np.where(ins, np.inf, -np.inf)
             slabs.append((tmin, tmax))
         (txmin, txmax), (tymin, tymax) = slabs
         t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
@@ -347,23 +364,7 @@ class CoverageMap:
         them. Where a wedge starts within 1e-12 rad of the end of the one
         before, the two edges are one angle, the smaller of the two.
         """
-        if self.is_empty:
-            return np.empty(0), np.empty(0), np.empty(0)
-        starts, ends, radii = self.starts, self.ends, self.radii
-        # joined[i]: wedge i + 1 starts where wedge i ends, up to rounding
-        joined = np.append(starts[1:] - ends[:-1], starts[0] + TWO_PI - ends[-1]) <= 1e-12
-        first = np.where(np.roll(joined, 1), np.minimum(starts, np.roll(ends, 1) % TWO_PI), starts)
-        # pieces of R: each wedge, then the gap after it where there is one
-        angles = np.column_stack([first, ends]).ravel()
-        piece = np.column_stack([radii, np.zeros_like(radii)]).ravel()
-        keep = np.column_stack([np.ones_like(joined), ~joined]).ravel()
-        angles, piece = angles[keep], piece[keep]
-        # a gap after a wedge ending at 2*pi starts at angle 0: it goes first
-        wrap = int(angles[-1] >= TWO_PI)
-        angles, piece = np.roll(angles % TWO_PI, wrap), np.roll(piece, wrap)
-        before = np.roll(piece, 1)
-        jump = piece != before
-        return angles[jump], before[jump], piece[jump]
+        return _radius_steps(self.starts, self.ends, self.radii, [self.radii.size])[:3]
 
     @property
     def max_radius(self) -> float:
@@ -421,8 +422,9 @@ def distance_to_coverage(p, cov: CoverageMap) -> float:
     return min(point_sector_distance(p, s) for s in cov.sectors)
 
 
-def _certified_cell_radii(center, city: CityMap, params: RadioParams, n_cells: int) -> np.ndarray:
-    """Infimum of the azimuth coverage radius over each angular cell.
+def _certified_cell_radii(centers, city: CityMap, params: RadioParams, n_cells: int) -> np.ndarray:
+    """Infimum of the azimuth coverage radius over each angular cell, one row
+    per station of ``centers`` (K, 2).
 
     Along one azimuth the first blocking radius of building b is
     factor_b * t0_b(theta) with t0 the ray entry distance into the footprint.
@@ -433,69 +435,147 @@ def _certified_cell_radii(center, city: CityMap, params: RadioParams, n_cells: i
     minimum over a cell's edges and critical azimuths after scaling by the
     factor gives the same bits as taking it before.
     """
+    centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
+    k = centers.shape[0]
     r_los = math.sqrt(coverage_disk_radius_sq(params, LinkState.LOS))
     r_nlos = math.sqrt(coverage_disk_radius_sq(params, LinkState.NLOS))
     if r_los <= 0.0:
-        return np.zeros(n_cells)
-    blk = _blockers(center, city, params, r_los)
-    at_edges = _first_blocking_radius(np.linspace(0.0, TWO_PI, n_cells + 1), blk)
-    first_block = np.minimum(at_edges[:-1], at_edges[1:])
+        return np.zeros((k, n_cells))
+    blk = _blockers(centers, city, params, r_los)
+    at_edges = _first_blocking_radius(np.linspace(0.0, TWO_PI, n_cells + 1), blk, k)
+    at_edges = at_edges.reshape(k, n_cells + 1)
+    first_block = np.minimum(at_edges[:, :-1], at_edges[:, 1:])
 
     step = TWO_PI / n_cells
+    rows = np.tile(blk.station, 5)
     crit_az = blk.crit_az.ravel()
     crit_block = (blk.factor * blk.crit_d).ravel()
     for shift in (-AZIMUTH_GUARD, 0.0, AZIMUTH_GUARD):
         cells = np.floor((crit_az + shift) / step).astype(int) % n_cells
-        np.minimum.at(first_block, cells, crit_block)
+        np.minimum.at(first_block, (rows, cells), crit_block)
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
 
 
 def _cells_to_wedges(radii: np.ndarray, merge_tol: float, min_radius: float):
     """Group adjacent cells of similar radius, split spans over pi, drop slivers.
 
-    A group's radius is the minimum over its cells, so the claimed region never
-    exceeds any constituent cell's certified radius. The greedy merge grows a
-    group cell by cell while max - min stays below ``merge_tol``. A cell equal
-    to one already in the group cannot widen max - min, so with a positive
-    tolerance the merge takes a run of equal cells whole or breaks at its first
-    cell, and it steps over such runs; a tolerance <= 0 breaks at every cell.
-    Returns the wedges' start azimuths, end azimuths and radii as float arrays.
+    ``radii`` holds one row of cell radii per map. A group's radius is the
+    minimum over its cells, so the claimed region never exceeds any
+    constituent cell's certified radius. The greedy merge grows a group cell
+    by cell while max - min stays below ``merge_tol``. A cell equal to one
+    already in the group cannot widen max - min, so with a positive tolerance
+    the merge takes a run of equal cells whole or breaks at its first cell,
+    and it steps over such runs; a tolerance <= 0 breaks at every cell.
+
+    Whether runs r..s may form a group depends only on their max and min, and
+    a longer range is never narrower, so the longest group from every run at
+    once is found by binary lifting over range min/max tables. The groups the
+    greedy merge makes are then the runs reached from the first run by
+    following group ends, collected by pointer doubling; a group never
+    crosses the end of its map, so the chain passes from each map to the
+    next. Returns the wedges' start azimuths, end azimuths and radii, stacked
+    map by map, and each map's wedge count.
     """
-    n = radii.size
-    edges = np.linspace(0.0, TWO_PI, n + 1).tolist()
-    new_run = radii[1:] != radii[:-1]
-    if merge_tol <= 0.0:
-        new_run[:] = True
-    # run r holds cells cuts[r] to cuts[r + 1] - 1, all of radius values[r]
-    cuts = [0, *(np.flatnonzero(new_run) + 1).tolist(), n]
-    values = radii[cuts[:-1]].tolist()  # Python floats: this loop is scalar work
-    runs = len(values)
-    starts, ends, wedge_radii = [], [], []
-    r = 0
-    while r < runs:
-        lo = hi = values[r]
-        s = r + 1
-        while s < runs:
-            v = values[s]
-            nlo = v if v < lo else lo
-            nhi = v if v > hi else hi
-            if nhi - nlo >= merge_tol:
-                break
-            lo, hi = nlo, nhi
-            s += 1
-        if lo >= min_radius:
-            a0, a1 = edges[cuts[r]], edges[cuts[s]]
-            span = a1 - a0
-            pieces = math.ceil(span / math.pi - 1e-12)
-            if pieces < 1:
-                pieces = 1
-            for p in range(pieces):
-                end = a0 + span * (p + 1) / pieces
-                starts.append(a0 + span * p / pieces)
-                ends.append(end if end < TWO_PI else TWO_PI)
-                wedge_radii.append(lo)
-        r = s
-    return tuple(np.array(w, dtype=float) for w in (starts, ends, wedge_radii))
+    k, n = radii.shape
+    new_run = np.ones((k, n), dtype=bool)
+    if merge_tol > 0.0:
+        new_run[:, 1:] = radii[:, 1:] != radii[:, :-1]
+    owner, cell = np.nonzero(new_run)  # run r: cells cell[r]... of map owner[r]
+    values = radii[owner, cell]
+    total = values.size
+    per_map = np.bincount(owner, minlength=k)
+    stop = np.cumsum(per_map)[owner]  # one past the last run of run r's map
+
+    # Level j: min and max of runs i..i + 2**j - 1, padded past the last run.
+    # Levels stop at the first whose windows are all too wide or past the
+    # end of their map: no group is that long.
+    pad = 1 << int(per_map.max()).bit_length()
+    mins = [np.concatenate([values, np.full(pad, np.inf)])]
+    maxs = [np.concatenate([values, np.full(pad, -np.inf)])]
+    fit = np.arange(total)  # the runs that start a group of 2**j runs or more
+    while True:
+        h = 1 << (len(mins) - 1)
+        fit = fit[(fit + h <= stop[fit]) & ~(maxs[-1][fit] - mins[-1][fit] >= merge_tol)]
+        if fit.size == 0:
+            break
+        mins.append(np.minimum(mins[-1][:-h], mins[-1][h:]))
+        maxs.append(np.maximum(maxs[-1][:-h], maxs[-1][h:]))
+    lo, hi = values.copy(), values.copy()
+    end = np.arange(1, total + 1)  # the group from run r holds runs r..end[r] - 1
+    for j in reversed(range(len(mins) - 1)):
+        nlo, nhi = np.minimum(lo, mins[j][end]), np.maximum(hi, maxs[j][end])
+        grow = (end + (1 << j) <= stop) & ~(nhi - nlo >= merge_tol)
+        np.copyto(lo, nlo, where=grow)
+        np.copyto(hi, nhi, where=grow)
+        end += grow * (1 << j)
+
+    # The greedy groups start at run 0 and where each group ends. After pass
+    # j, jump[r] is 2**j groups on from r, so each pass doubles the heads.
+    heads, jump = np.zeros(1, dtype=int), np.append(end, total)
+    while True:
+        more = jump[heads]
+        heads = np.concatenate([heads, more[more < total]])
+        if more[-1] >= total:
+            break
+        jump = jump[jump]
+    heads = heads[lo[heads] >= min_radius]
+    tail = end[heads]
+
+    edges = np.linspace(0.0, TWO_PI, n + 1)
+    a0 = edges[cell[heads]]
+    span = edges[np.where(tail < stop[heads], cell[np.minimum(tail, total - 1)], n)] - a0
+    pieces = np.maximum(np.ceil(span / math.pi - 1e-12), 1.0).astype(int)
+    group = np.repeat(np.arange(heads.size), pieces)
+    p = np.arange(group.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    a0, span, pieces = a0[group], span[group], pieces[group]
+    starts = a0 + span * p / pieces
+    ends = np.minimum(a0 + span * (p + 1) / pieces, TWO_PI)
+    return starts, ends, lo[heads][group], np.bincount(owner[heads][group], minlength=k)
+
+
+def _ring(counts):
+    """The first and last index of each stacked item's group, for items
+    stacked in groups of ``counts``."""
+    counts = np.asarray(counts, dtype=int)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return first, first + np.repeat(counts, counts) - 1
+
+
+def _wedge_ring(starts: np.ndarray, ends: np.ndarray, counts):
+    """Each stacked wedge's successor and predecessor around its own map, and
+    whether an azimuth gap of more than 1e-12 rad follows it; a map's last
+    wedge is followed by its first, 2*pi on."""
+    first, last = _ring(counts)
+    i = np.arange(starts.size)
+    nxt = np.where(i == last, first, i + 1)
+    prv = np.where(i == first, last, i - 1)
+    gap = np.where(i == last, starts[nxt] + TWO_PI, starts[nxt]) - ends > 1e-12
+    return nxt, prv, gap
+
+
+def _radius_steps(starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, counts):
+    """``CoverageMap.radius_steps`` of the stacked wedges of several maps.
+
+    Returns the jump angles, R before and after each jump, stacked map by
+    map, and each map's jump count.
+    """
+    _, prv, gap = _wedge_ring(starts, ends, counts)
+    joined = ~gap  # the next wedge starts where this one ends, up to rounding
+    first = np.where(joined[prv], np.minimum(starts, ends[prv] % TWO_PI), starts)
+    # pieces of R: each wedge, then the gap after it where there is one
+    keep = np.column_stack([np.ones_like(gap), gap]).ravel()
+    angles = np.column_stack([first, ends]).ravel()[keep]
+    piece = np.column_stack([radii, np.zeros_like(radii)]).ravel()[keep]
+    owner = np.repeat(np.arange(len(counts)), 2 * np.asarray(counts, dtype=int))[keep]
+    head, tail = _ring(np.bincount(owner, minlength=len(counts)))
+    i = np.arange(angles.size)
+    prev = np.where(i == head, tail, i - 1)  # the piece before, around the map
+    # a gap after a wedge ending at 2*pi starts at angle 0: it goes first
+    order = np.where(angles[tail] >= TWO_PI, prev, i)
+    angles, piece = angles[order] % TWO_PI, piece[order]
+    before = piece[prev]
+    jump = piece != before
+    return angles[jump], before[jump], piece[jump], np.bincount(owner[jump], minlength=len(counts))
 
 
 def check_map_settings(angular_step: float, border_samples: int) -> int:
@@ -509,43 +589,77 @@ def check_map_settings(angular_step: float, border_samples: int) -> int:
     return n_cells
 
 
-def build_coverage_map(
-    bs: BaseStation,
+def build_coverage_maps(
+    stations,
     city: CityMap,
     params: RadioParams,
     angular_step: float = ANGULAR_STEP,
     border_samples: int = BORDER_SAMPLES,
     merge_tol: float = RADIUS_MERGE_TOL,
     min_radius: float = MIN_SECTOR_RADIUS,
-) -> CoverageMap:
-    """Sectorized coverage map of one station, with a discretized border."""
+) -> list[CoverageMap]:
+    """Sectorized coverage maps of several stations, with discretized borders.
+
+    Each step runs once over the stacked arrays of all the stations: the
+    blocking sweep and certified cell radii, the cell merge, the border walk
+    and the jumps of R(theta), which each map keeps as its ``radius_steps``.
+    Every map is the one the station gets when built alone, bit for bit.
+    """
     n_cells = check_map_settings(angular_step, border_samples)
-    radii = _certified_cell_radii(bs.xy, city, params, n_cells)
+    stations = list(stations)
+    if not stations:
+        return []
+    centers = np.array([bs.xy for bs in stations], dtype=float)
+    radii = _certified_cell_radii(centers, city, params, n_cells)
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
-    wedges = _cells_to_wedges(radii, merge_tol, min_radius)
-    border = _border_points(bs.xy, *wedges, border_samples)
-    return CoverageMap(bs.id, bs.xy, *wedges, border_points=border)
+    *wedges, counts = _cells_to_wedges(radii, merge_tol, min_radius)
+    border, drawn = _border_points(centers, *wedges, counts, border_samples)
+    *steps, jumps = _radius_steps(*wedges, counts)
+    for a in (*wedges, border, *steps):
+        a.flags.writeable = False  # each map holds views into these
+
+    def split(arrays, sizes):
+        ends = np.cumsum(sizes).tolist()
+        return [tuple(a[i:j] for a in arrays) for i, j in zip([0, *ends], ends)]
+
+    maps = []
+    for bs, wedge, (points,), step in zip(stations, split(wedges, counts), split([border], drawn),
+                                          split(steps, jumps)):
+        cov = CoverageMap(bs.id, bs.xy, *wedge, border_points=points)
+        cov.__dict__["radius_steps"] = step  # the cached_property's slot
+        maps.append(cov)
+    return maps
 
 
-def _border_points(center, starts: np.ndarray, ends: np.ndarray, radii: np.ndarray,
-                   q: int) -> np.ndarray:
-    """q points spaced uniformly by arc length along the wedge union's boundary.
+def build_coverage_map(bs: BaseStation, city: CityMap, params: RadioParams,
+                       **settings) -> CoverageMap:
+    """Sectorized coverage map of one station, with a discretized border;
+    ``settings`` are those of ``build_coverage_maps``."""
+    return build_coverage_maps([bs], city, params, **settings)[0]
 
-    The boundary is walked from the first wedge's start, with three slots per
-    wedge: its arc, then a radial wall out to the apex and a wall back in to
-    the next wedge where an azimuth gap follows, or one wall between the two
-    radii where the next wedge joins at a different radius. Point s lies on
-    the first piece whose cumulative length exceeds s; ``np.cumsum`` adds in
-    order, so those sums are the ones a piece-by-piece walk would reach.
+
+def _border_points(centers, starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, counts,
+                   q: int):
+    """q points spaced uniformly by arc length along each map's boundary.
+
+    The maps' wedges are stacked, ``counts`` per map, around the apexes
+    ``centers`` (K, 2). Each boundary is walked from its first wedge's start,
+    with three slots per wedge: its arc, then a radial wall out to the apex
+    and a wall back in to the next wedge where an azimuth gap follows, or one
+    wall between the two radii where the next wedge joins at a different
+    radius. Point s lies on the first piece whose cumulative length exceeds
+    s. ``np.cumsum`` adds in order, so those sums are the ones a
+    piece-by-piece walk would reach; they and the perimeter are taken per
+    map, as ``np.sum`` adds pairwise in an order set by the array's length.
+    Returns the points, stacked map by map, and each map's point count: q,
+    or 0 for a map with no wedges or a perimeter of length 0.
     """
     if q < 1:
         raise InvalidConfigError(f"border sample count must be >= 1: {q}")
-    m = radii.size
-    if m == 0:
-        return np.empty((0, 2))
-    next_start = np.append(starts[1:], starts[0])
-    next_radius = np.append(radii[1:], radii[0])
-    gap = np.append(starts[1:] - ends[:-1], starts[0] + TWO_PI - ends[-1]) > 1e-12
+    centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
+    k, m = centers.shape[0], radii.size
+    nxt, _, gap = _wedge_ring(starts, ends, counts)
+    next_start, next_radius = starts[nxt], radii[nxt]
     step = np.abs(radii - next_radius) > 1e-12
     # Slots, wedge by wedge: arc, wall out, wall in. An arc runs from its
     # start angle over r_from = its span at radius r_to; a wall runs at its
@@ -557,29 +671,41 @@ def _border_points(center, starts: np.ndarray, ends: np.ndarray, radii: np.ndarr
     keep = np.flatnonzero(present)
     angle, r_from, r_to, is_arc = angle[keep], r_from[keep], r_to[keep], keep % 3 == 0
     lengths = np.where(is_arc, r_to * r_from, np.abs(r_to - r_from))
-    total = float(lengths.sum())
-    if total <= 0.0:
-        return np.empty((0, 2))
+    owner = np.repeat(np.arange(k), np.asarray(counts, dtype=int))[keep // 3]
+    bounds = np.cumsum(np.bincount(owner, minlength=k)).tolist()
 
-    targets = np.arange(q) * (total / q)
-    cum = np.cumsum(lengths)
-    piece = np.minimum(np.searchsorted(cum, targets, side="right"), lengths.size - 1)
-    local = targets - np.where(piece > 0, cum[piece - 1], 0.0)
+    cum = np.empty_like(lengths)
+    drawn, targets, piece = [], [], []
+    for i, (a, b) in enumerate(zip([0, *bounds[:-1]], bounds)):
+        total = float(lengths[a:b].sum()) if b > a else 0.0
+        if total <= 0.0:
+            continue
+        cum[a:b] = np.cumsum(lengths[a:b])
+        t = np.arange(q) * (total / q)
+        drawn.append(i)
+        targets.append(t)
+        piece.append(a + np.minimum(np.searchsorted(cum[a:b], t, side="right"), b - a - 1))
+    if not drawn:
+        return np.empty((0, 2)), np.zeros(k, dtype=int)
+    at = np.repeat(drawn, q)
+    targets, piece = np.concatenate(targets), np.concatenate(piece)
+    first = np.array([0, *bounds[:-1]])[at]
+    local = targets - np.where(piece > first, cum[piece - 1], 0.0)
     ang0, a, b, arc = angle[piece], r_from[piece], r_to[piece], is_arc[piece]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         along = np.where(b > 0.0, local / b, 0.0)
     rho = np.where(arc, b, a + np.copysign(local, b - a))
     phi = np.where(arc, ang0 + along, ang0)
-    points = np.empty((q, 2))
-    points[:, 0] = center[0] + rho * np.cos(phi)
-    points[:, 1] = center[1] + rho * np.sin(phi)
-    return points
+    points = np.empty((at.size, 2))
+    points[:, 0] = centers[at, 0] + rho * np.cos(phi)
+    points[:, 1] = centers[at, 1] + rho * np.sin(phi)
+    return points, np.bincount(at, minlength=k)
 
 
 def discretize_border(cov: CoverageMap, q: int) -> CoverageMap:
     """The map with q border points placed uniformly by arc length along its perimeter."""
-    return replace(cov, border_points=_border_points(cov.center, cov.starts, cov.ends,
-                                                     cov.radii, q))
+    points, _ = _border_points(cov.center, cov.starts, cov.ends, cov.radii, [cov.radii.size], q)
+    return replace(cov, border_points=points)
 
 
 def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], CommonBorder]:
@@ -641,17 +767,14 @@ def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
                        border_samples: int = BORDER_SAMPLES, *, built=None):
     """Coverage maps for every station plus all pairwise common borders.
 
-    ``built`` maps station ids to maps already made by ``build_coverage_map``
-    with the same settings; those are reused rather than built again.
+    ``built`` maps station ids to maps already made with the same settings;
+    those are reused, and the other stations' maps are built in one batch.
     """
     built = built or {}
-    maps = {
-        bs.id: built[bs.id] if bs.id in built else build_coverage_map(
-            bs, scenario.city, scenario.radio,
-            angular_step=angular_step, border_samples=border_samples,
-        )
-        for bs in scenario.base_stations
-    }
+    todo = [bs for bs in scenario.base_stations if bs.id not in built]
+    fresh = build_coverage_maps(todo, scenario.city, scenario.radio, angular_step, border_samples)
+    made = {**built, **{cov.bs_id: cov for cov in fresh}}
+    maps = {bs.id: made[bs.id] for bs in scenario.base_stations}
     return maps, _common_borders([maps[k] for k in sorted(maps)])
 
 

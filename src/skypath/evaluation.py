@@ -16,7 +16,7 @@ from .coverage import (
     BORDER_SAMPLES,
     LinkState,
     build_all_coverage,
-    build_coverage_map,
+    build_coverage_maps,
     check_map_settings,
     coverage_disk_radius_sq,
     network_covered,
@@ -131,10 +131,13 @@ def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int)
 
     Every wedge radius is at most r_los and membership adds only GEOM_EPS, so
     no station farther than r_los + GEOM_EPS from an endpoint can hold it.
-    Only the maps of the nearer stations are built, and InfeasibleEndpointError
-    is raised, as ``base_trajectory`` would raise it, as soon as none of them
-    holds the endpoint. Returns the maps built, by station id, and the number
-    of maps that hold the start and the goal.
+    The maps come in two ``build_coverage_maps`` batches: the stations near
+    the start, then those near the goal that the first batch did not build.
+    InfeasibleEndpointError is raised, as ``base_trajectory`` would raise it,
+    as soon as no map of a batch's endpoint holds it, so an uncovered start
+    stops the trial before any goal-side map is built. Returns the maps
+    built, by station id, and the number of maps that hold the start and the
+    goal.
     """
     check_map_settings(angular_step, border_samples)
     reach = math.sqrt(coverage_disk_radius_sq(scenario.radio, LinkState.LOS)) + GEOM_EPS
@@ -144,14 +147,11 @@ def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int)
     counts = []
     for name, point in (("start", scenario.mission.start), ("goal", scenario.mission.goal)):
         near = np.hypot(point.x - centers[:, 0], point.y - centers[:, 1]) <= reach
-        count = 0
-        for bs in (bs for bs, ok in zip(stations, near.tolist()) if ok):
-            if bs.id not in maps:
-                maps[bs.id] = build_coverage_map(
-                    bs, scenario.city, scenario.radio,
-                    angular_step=angular_step, border_samples=border_samples,
-                )
-            count += point_in_any_sector(point.xy, maps[bs.id])
+        near = [bs for bs, ok in zip(stations, near.tolist()) if ok]
+        todo = [bs for bs in near if bs.id not in maps]
+        maps.update((cov.bs_id, cov) for cov in build_coverage_maps(
+            todo, scenario.city, scenario.radio, angular_step, border_samples))
+        count = sum(point_in_any_sector(point.xy, maps[bs.id]) for bs in near)
         if not count:
             raise InfeasibleEndpointError(name, point)
         counts.append(count)
@@ -174,14 +174,16 @@ def evaluate_planners(
     construction and the base stage it refines.
 
     The graph planners skip work that cannot change their answer. The maps
-    of the stations near each endpoint are built first (``_endpoint_maps``),
-    so a trial with an uncovered endpoint stops before the other maps and the
-    common borders are built. ``base_trajectory`` searches over the stations
-    rather than the feasibility graph, so that graph is never built; the
-    base row's nodes/edges still count it, by closed form
-    (``feasibility_graph_size``). The optimized row's nodes/edges count the
-    refined graph, not the sequence-free A* search, which prunes its points
-    to those that could beat the refined path.
+    come in three ``build_coverage_maps`` batches, none rebuilding a station:
+    the stations near the start, then those near the goal
+    (``_endpoint_maps``), then the rest (``build_all_coverage``). A trial
+    with an uncovered endpoint stops after that endpoint's batch, before the
+    other maps and the common borders are built. ``base_trajectory``
+    searches over the stations rather than the feasibility graph, so that
+    graph is never built; the base row's nodes/edges still count it, by
+    closed form (``feasibility_graph_size``). The optimized row's nodes/edges
+    count the refined graph, not the sequence-free A* search, which prunes
+    its points to those that could beat the refined path.
     """
     wanted = [p for p in PLANNER_ORDER if p in planners]
     reports: list[PlannerReport] = []

@@ -129,12 +129,16 @@ def _distance(a: GraphNode, b: GraphNode) -> float:
 
 
 def _dedupe_waypoints(points_xy, altitude: float) -> tuple[Point3, ...]:
-    out: list[Point3] = []
-    for x, y in points_xy:
-        p = Point3(float(x), float(y), altitude)
-        if out and math.hypot(p.x - out[-1].x, p.y - out[-1].y) <= 1e-9:
-            continue
-        out.append(p)
+    """The points at ``altitude``, each dropped when within 1e-9 m of the one
+    kept before it. The last point is kept when only one would remain, so a
+    mission whose goal is its start gives a zero-length two-point path."""
+    points = [Point3(float(x), float(y), altitude) for x, y in points_xy]
+    out = points[:1]
+    for p in points[1:]:
+        if math.hypot(p.x - out[-1].x, p.y - out[-1].y) > 1e-9:
+            out.append(p)
+    if len(out) == 1 and len(points) > 1:
+        out.append(points[-1])
     return tuple(out)
 
 
@@ -393,13 +397,14 @@ def _jump_table(covs: Sequence[CoverageMap]):
     past 2*pi is one slice. Returns (angles, cos, sin, before, after).
     """
     steps = [cov.radius_steps for cov in covs]
-    angles = np.concatenate(
-        [np.concatenate([j, j + TWO_PI]) + 2.0 * TWO_PI * m for m, (j, _, _) in enumerate(steps)]
-    )
-    unshifted = np.concatenate([np.tile(j, 2) for j, _, _ in steps])
-    before = np.concatenate([np.tile(b, 2) for _, b, _ in steps])
-    after = np.concatenate([np.tile(a, 2) for _, _, a in steps])
-    return angles, np.cos(unshifted), np.sin(unshifted), before, after
+    counts = np.array([j.size for j, _, _ in steps], dtype=int)
+    # slot k of map m's block: jump k % c_m of the map, shifted when k >= c_m
+    m = np.repeat(np.arange(counts.size), 2 * counts)
+    first, size = (np.repeat(a, 2 * counts) for a in (np.cumsum(counts) - counts, counts))
+    k = np.arange(m.size) - 2 * first
+    jumps, before, after = (np.concatenate(a)[first + k % size] for a in zip(*steps))
+    angles = np.where(k < size, jumps, jumps + TWO_PI) + 2.0 * TWO_PI * m
+    return angles, np.cos(jumps), np.sin(jumps), before, after
 
 
 def _polar(points: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

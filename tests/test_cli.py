@@ -59,6 +59,19 @@ class TestPlan:
             assert data["kind"] == name
             assert data["total_length_m"] > 0
 
+    def test_goal_at_the_start_writes_zero_length_paths(self, tmp_path):
+        scn = open_field_scenario([(600.0, 1000.0), (1400.0, 1000.0)],
+                                  start_xy=(700.0, 1000.0), goal_xy=(700.0, 1000.0))
+        path = tmp_path / "loop.json"
+        save_scenario(scn, path)
+        out_dir = tmp_path / "out"
+        assert run(["plan", "--scenario", path, "--out-dir", out_dir]) == 0
+        for name in ("straight", "base", "optimized", "grid"):
+            data = json.loads((out_dir / f"trajectory_{name}.json").read_text())
+            if name != "base":  # base detours through a station projection
+                assert data["waypoints"] == [[700.0, 1000.0, 80.0]] * 2
+                assert data["total_length_m"] == 0.0
+
     def test_planner_subset(self, tmp_path, open_field_file):
         out_dir = tmp_path / "sub"
         code = run(["plan", "--scenario", open_field_file, "--out-dir", out_dir,

@@ -12,6 +12,7 @@ from skypath.coverage import (
     _first_blocking_radius,
     build_all_coverage,
     build_coverage_map,
+    build_coverage_maps,
     common_border_points,
     coverage_disk_radius_sq,
     fan_blocked,
@@ -217,9 +218,10 @@ class TestCertifiedRadii:
     def _check(stations, city, params):
         from skypath.coverage import _certified_cell_radii
 
-        for bs_c in stations:
-            assert_bitwise(_certified_cell_radii(bs_c.xy, city, params, 720),
-                           certified_radii_oracle(bs_c.xy, city, params, 720))
+        got = _certified_cell_radii([bs_c.xy for bs_c in stations], city, params, 720)
+        assert got.shape == (len(stations), 720)
+        for row, bs_c in zip(got, stations):
+            assert_bitwise(row, certified_radii_oracle(bs_c.xy, city, params, 720))
 
     @pytest.mark.parametrize("seed", [11, 19, 23, 29])
     def test_small_city(self, seed, params):
@@ -712,10 +714,11 @@ class TestCellMergeByRuns:
     def _check(radii, merge_tol, min_radius=5.0):
         from skypath.coverage import _cells_to_wedges
 
-        got = _cells_to_wedges(radii, merge_tol, min_radius)
+        *got, counts = _cells_to_wedges(radii[None, :], merge_tol, min_radius)
         want = cell_merge_oracle(radii, merge_tol, min_radius)
         for g, w in zip(got, want):
             assert_bitwise(g, w)
+        assert counts.tolist() == [len(want[0])]
         return got
 
     @settings(max_examples=300, deadline=None)
@@ -754,9 +757,10 @@ class TestCellMergeByRuns:
         from skypath.coverage import RADIUS_MERGE_TOL, _certified_cell_radii
 
         scn = small_city_scenario(seed=seed, k=6)
-        for bs_c in scn.base_stations:
-            radii = _certified_cell_radii(bs_c.xy, scn.city, params, 720)
-            self._check(np.maximum(radii - RADIUS_SAFETY, 0.0), RADIUS_MERGE_TOL)
+        radii = _certified_cell_radii([bs_c.xy for bs_c in scn.base_stations], scn.city,
+                                      params, 720)
+        for row in radii:
+            self._check(np.maximum(row - RADIUS_SAFETY, 0.0), RADIUS_MERGE_TOL)
 
 
 def _wedge_map(starts, ends, radii, center=(0.0, 0.0)):
@@ -833,6 +837,91 @@ class TestBorderWalkFromArrays:
     def test_empty_map(self):
         cov = _wedge_map([], [], [])
         assert self._check(cov, 4).shape == (0, 2)
+
+
+def _stations(xys, ids=None, height=20.0):
+    ids = range(1, len(xys) + 1) if ids is None else ids
+    return [BaseStation(i, Point3(x, y, height)) for i, (x, y) in zip(ids, xys)]
+
+
+class TestBatchBuilder:
+    """Maps built together in one ``build_coverage_maps`` call against each
+    station's map built alone."""
+
+    @staticmethod
+    def _check(stations, city, params, **settings):
+        from skypath.coverage import CoverageMap
+
+        batch = build_coverage_maps(stations, city, params, **settings)
+        assert [cov.bs_id for cov in batch] == [bs.id for bs in stations]
+        for got, bs in zip(batch, stations):
+            alone = build_coverage_maps([bs], city, params, **settings)[0]
+            assert got.center == bs.xy == alone.center
+            for a, b in zip((got.starts, got.ends, got.radii, got.border_points, *got.radius_steps),
+                            (alone.starts, alone.ends, alone.radii, alone.border_points,
+                             *alone.radius_steps)):
+                assert_bitwise(a, b)
+            # the steps the batch stores equal those a map computes from its wedges
+            rebuilt = CoverageMap(got.bs_id, got.center, got.starts, got.ends, got.radii,
+                                  got.border_points)
+            for a, b in zip(got.radius_steps, rebuilt.radius_steps):
+                assert_bitwise(a, b)
+        return batch
+
+    @pytest.mark.parametrize("seed", [100, 101, 102, 103, 104])
+    def test_default_city(self, seed):
+        from skypath.scenario import build_default_scenario, place_base_stations
+
+        base = build_default_scenario(seed=1, k=25)
+        stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=seed)
+        batch = self._check(stations, base.city, base.radio, border_samples=64)
+        assert all(cov.border_count == 64 for cov in batch)
+
+    @pytest.mark.parametrize("seed", [11, 19, 23, 29])
+    def test_small_city(self, seed, params):
+        scn = small_city_scenario(seed=seed, k=6)
+        self._check(scn.base_stations, scn.city, params)
+
+    @pytest.mark.parametrize("layout", ["station on a footprint edge", "station inside a footprint"])
+    def test_station_in_a_footprint(self, layout, params):
+        # the first station lies in a footprint's closed extent, so that
+        # building blocks every azimuth; the others see it from outside
+        city = CityMap(2000, 2000, CERTIFIED_LAYOUTS[layout])
+        self._check(_stations([(1000.0, 1000.0), (1150.0, 1000.0), (900.0, 1100.0)]), city, params)
+
+    def test_empty_city(self, params, empty_city):
+        batch = self._check(_stations([(1000.0, 1000.0), (300.0, 1700.0), (1990.0, 10.0)]),
+                            empty_city, params)
+        assert all((cov.radii == batch[0].radii[0]).all() for cov in batch)
+
+    def test_unreachable_threshold_gives_empty_maps(self, empty_city):
+        harsh = default_radio_params(snr_threshold_db=80.0)
+        batch = self._check(_stations([(1000.0, 1000.0), (400.0, 400.0)]), empty_city, harsh)
+        assert all(cov.is_empty and cov.border_count == 0 for cov in batch)
+
+    @pytest.mark.parametrize("merge_tol", [0.0, -1.0])
+    def test_non_positive_merge_tolerance(self, merge_tol, params):
+        scn = small_city_scenario(seed=19, k=4)
+        self._check(scn.base_stations, scn.city, params, merge_tol=merge_tol)
+
+    def test_one_station(self, params):
+        scn = small_city_scenario(seed=23, k=3)
+        self._check(scn.base_stations[1:2], scn.city, params)
+
+    def test_duplicate_positions(self, params):
+        scn = small_city_scenario(seed=11, k=2)
+        xy = scn.base_stations[0].xy
+        batch = self._check(_stations([xy, scn.base_stations[1].xy, xy], ids=[4, 5, 6]),
+                            scn.city, params)
+        assert_bitwise(batch[0].border_points, batch[2].border_points)
+
+    def test_unsorted_ids_keep_their_order(self, params):
+        scn = small_city_scenario(seed=29, k=3)
+        xys = [bs.xy for bs in scn.base_stations]
+        self._check(_stations(xys, ids=[9, 2, 5]), scn.city, params)
+
+    def test_no_stations(self, params, empty_city):
+        assert build_coverage_maps([], empty_city, params) == []
 
 
 class TestBatchedCommonBorders:

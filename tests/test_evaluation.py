@@ -127,6 +127,23 @@ class TestEvaluatePlanners:
         assert by_name["optimized"].outage == 0.0
         assert trajectories["base"].kind == "base"
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-10])
+    def test_goal_at_the_start_gives_zero_length_paths(self, offset):
+        from dataclasses import replace
+
+        from skypath.scenario import Mission, build_default_scenario, place_base_stations
+
+        base = build_default_scenario(seed=1)
+        stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=2)
+        start = base.mission.start
+        scn = replace(base.with_base_stations(stations),
+                      mission=Mission(start, Point3(start.x + offset, start.y, start.z)))
+        reports, trajectories = evaluate_planners(scn, planners=evaluation.PLANNER_ORDER)
+        assert [r.planner for r in reports] == list(evaluation.PLANNER_ORDER)
+        assert all(r.feasible and r.outage == 0.0 for r in reports)
+        for name in ("straight", "optimized", "grid"):
+            assert trajectories[name].waypoints == (scn.mission.start, scn.mission.goal)
+
     def test_infeasible_endpoints_recorded(self):
         scn = open_field_scenario([(1000.0, 1000.0)],
                                   start_xy=(100.0, 100.0), goal_xy=(1000.0, 900.0))
@@ -185,6 +202,48 @@ class TestEndpointFirst:
         got = (row.feasible, row.note, row.nodes, row.edges,
                [(p.x, p.y) for p in base.waypoints] if base else None)
         assert got == _all_maps_first(scn)
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        """Record the station ids of every ``build_coverage_maps`` call."""
+        from skypath import coverage
+
+        calls = []
+        real = coverage.build_coverage_maps
+
+        def recording(stations, *args, **kwargs):
+            calls.append([bs.id for bs in stations])
+            return real(stations, *args, **kwargs)
+
+        monkeypatch.setattr(coverage, "build_coverage_maps", recording)
+        monkeypatch.setattr(evaluation, "build_coverage_maps", recording)
+        return calls
+
+    def test_uncovered_start_stops_before_the_goal_batch(self, monkeypatch):
+        # the first station is near the start but holds it only past its
+        # claimed radius; the second covers the goal, the third neither
+        start, goal = (700.0, 1000.0), (1300.0, 1000.0)
+        scn = open_field_scenario([(start[0] - (R_LOS - 1e-3), 1000.0), goal, (1000.0, 1700.0)],
+                                  start_xy=start, goal_xy=goal)
+        calls = self._record_batches(monkeypatch)
+        with pytest.raises(InfeasibleEndpointError, match="start"):
+            evaluation._endpoint_maps(scn, evaluation.ANGULAR_STEP, evaluation.BORDER_SAMPLES)
+        assert calls == [[scn.base_stations[0].id]]
+        calls.clear()
+        reports, _ = evaluate_planners(scn, planners=("base", "optimized"))
+        assert not any(r.feasible for r in reports) and "start" in reports[0].note
+        assert calls == [[scn.base_stations[0].id]]
+
+    def test_three_batches_build_each_station_once(self, monkeypatch):
+        start, goal = (700.0, 1000.0), (1300.0, 1000.0)
+        # near both endpoints, near the start, near the goal, near neither
+        scn = open_field_scenario([(1000.0, 1000.0), (600.0, 1000.0), (1400.0, 1000.0),
+                                   (1000.0, 1700.0)], start_xy=start, goal_xy=goal)
+        both, near_start, near_goal, far = (bs.id for bs in scn.base_stations)
+        calls = self._record_batches(monkeypatch)
+        reports, _ = evaluate_planners(scn, planners=("base", "optimized"))
+        assert all(r.feasible for r in reports)
+        assert calls == [[both, near_start], [near_goal], [far]]
 
     def test_invalid_settings_raise_before_the_endpoint_check(self):
         # no station can hold the start, and the settings are still checked first
