@@ -131,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _angular_step(args) -> float:
-    n = round(360.0 / args.angular_step_deg)
-    if n < 2 or abs(n * args.angular_step_deg - 360.0) > 1e-6:
-        raise InvalidConfigError(
-            f"--angular-step-deg must evenly divide 360: {args.angular_step_deg}"
-        )
+    step = args.angular_step_deg
+    n = round(360.0 / step) if 0.0 < step < math.inf else 0
+    if n < 2 or abs(n * step - 360.0) > 1e-6:
+        raise InvalidConfigError(f"--angular-step-deg must evenly divide 360: {step}")
     return 2.0 * math.pi / n
 
 

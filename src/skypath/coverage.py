@@ -580,8 +580,9 @@ def _radius_steps(starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, count
 
 def check_map_settings(angular_step: float, border_samples: int) -> int:
     """The number of azimuth cells per map; raises InvalidConfigError first
-    when ``angular_step`` does not divide 2*pi evenly or ``border_samples`` < 1."""
-    n_cells = round(TWO_PI / angular_step)
+    when ``angular_step`` is not a finite value > 0 that divides 2*pi evenly
+    or ``border_samples`` < 1."""
+    n_cells = round(TWO_PI / angular_step) if 0.0 < angular_step < math.inf else 0
     if n_cells < 2 or abs(n_cells * angular_step - TWO_PI) > 1e-9:
         raise InvalidConfigError(f"angular_step must evenly divide 2*pi: {angular_step}")
     if border_samples < 1:
@@ -595,8 +596,6 @@ def build_coverage_maps(
     params: RadioParams,
     angular_step: float = ANGULAR_STEP,
     border_samples: int = BORDER_SAMPLES,
-    merge_tol: float = RADIUS_MERGE_TOL,
-    min_radius: float = MIN_SECTOR_RADIUS,
 ) -> list[CoverageMap]:
     """Sectorized coverage maps of several stations, with discretized borders.
 
@@ -612,7 +611,7 @@ def build_coverage_maps(
     centers = np.array([bs.xy for bs in stations], dtype=float)
     radii = _certified_cell_radii(centers, city, params, n_cells)
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
-    *wedges, counts = _cells_to_wedges(radii, merge_tol, min_radius)
+    *wedges, counts = _cells_to_wedges(radii, RADIUS_MERGE_TOL, MIN_SECTOR_RADIUS)
     border, drawn = _border_points(centers, *wedges, counts, border_samples)
     *steps, jumps = _radius_steps(*wedges, counts)
     for a in (*wedges, border, *steps):

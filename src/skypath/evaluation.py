@@ -71,8 +71,8 @@ def outage_fraction(t: Trajectory, scenario: Scenario, step: float = OUTAGE_STEP
 
     At constant speed the arc-length fraction equals the time fraction.
     """
-    if step <= 0.0:
-        raise ValueError(f"sampling step must be positive: {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"sampling step must be finite and positive: {step}")
     samples = sample_polyline(t.xy_array(), step)
     covered = network_covered(samples, scenario)
     return float(1.0 - covered.mean())
@@ -120,10 +120,10 @@ class MonteCarloConfig:
         if unknown:
             raise ValueError(f"unknown planners: {sorted(unknown)}")
         check_map_settings(self.angular_step, self.border_samples)
-        if self.grid_step <= 0.0:
-            raise InvalidConfigError(f"grid step must be positive: {self.grid_step}")
-        if self.outage_step <= 0.0:
-            raise ValueError(f"sampling step must be positive: {self.outage_step}")
+        if not 0.0 < self.grid_step < math.inf:
+            raise InvalidConfigError(f"grid step must be finite and positive: {self.grid_step}")
+        if not 0.0 < self.outage_step < math.inf:
+            raise ValueError(f"sampling step must be finite and positive: {self.outage_step}")
 
 
 def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int):

@@ -5,12 +5,16 @@ projections and discretized common-border points; every edge of that graph is
 coverage-safe by construction (sectors are wedges around the projection, so
 the union is star-shaped about it). Its shortest path is found by a Dijkstra
 over the stations that gives the full graph's path, without building the
-graph. The refinement stage rebuilds a graph
-restricted to the stations the base path visits and adds shortcut edges that
-are verified to stay inside one station's coverage, then searches it again.
-The optimized trajectory is the shorter of that path and an exact A* over the
-same kind of points with no station sequence, whose edges are verified the
-same way when the search first needs them.
+graph. The refinement stage rebuilds a graph restricted to the stations the
+base path visits and adds shortcut edges that are verified to stay inside one
+station's coverage, then searches it again. The optimized trajectory is the
+shorter of that path and an exact A* over the same kind of points with no
+station sequence, whose edges are verified the same way when the search first
+needs them.
+
+Both graphs are node tables (``PlanGraph.xy``) with edge lists. Every segment
+check (refined shortcuts, A* edges, ``segments_in_coverage``) passes (u, v,
+map) triples to ``_members``, once per (node, map) pair, and ``_segments_clear``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +41,6 @@ from .scenario import InvalidConfigError, Mission, Scenario
 
 GRID_STEP = 10.0
 
-NODE_START = "start"
-NODE_GOAL = "goal"
-NODE_BS = "bs_projection"
-NODE_BORDER = "border_point"
-
 
 class InfeasibleEndpointError(Exception):
     """A mission endpoint lies outside every station's coverage."""
@@ -54,25 +53,27 @@ class InfeasibleEndpointError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    id: int
-    x: float
-    y: float
-    kind: str
-    bs_id: int | None = None
-
-
 @dataclass(eq=False)
 class PlanGraph:
-    """Weighted undirected graph over waypoint candidates."""
+    """Weighted undirected graph over waypoint candidates.
 
-    nodes: tuple[GraphNode, ...]
+    Node i sits at ``xy[i]``, an (n, 2) array; each edge (u, v, w) has w =
+    ``math.hypot`` of xy[u] - xy[v]. Both builders number their nodes the
+    same way: the mission start, the station projections, the common-border
+    points pair by pair, and the goal last.
+
+    - ``build_feasibility_graph``: every map's projection in sorted station
+      id order, then the points of every common border in sorted pair order.
+    - ``build_refined_graph``: the projections of the base path's stations in
+      visit order, then the points of each consecutive pair's common border.
+    """
+
+    xy: np.ndarray
     edges: tuple[tuple[int, int, float], ...]
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
         for u, v, w in self.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -80,7 +81,7 @@ class PlanGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self.xy.shape[0]
 
     @property
     def edge_count(self) -> int:
@@ -124,8 +125,21 @@ class GridPlanResult:
     edge_count: int
 
 
-def _distance(a: GraphNode, b: GraphNode) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
+def _lengths(d: np.ndarray) -> list[float]:
+    """``math.hypot`` of each row of d (n, 2); ``np.hypot`` can differ in the last bit."""
+    return list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()))
+
+
+def _edges(xy: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[tuple[int, int, float]]:
+    """Edges (u[i], v[i], |xy[u[i]] xy[v[i]]|)."""
+    return list(zip(u.tolist(), v.tolist(), _lengths(xy[u] - xy[v])))
+
+
+def _node_table(mission: Mission, centers, borders) -> np.ndarray:
+    """Node positions in ``PlanGraph`` order: start, centers, border point
+    arrays in turn, goal."""
+    return np.vstack([[mission.start.xy], np.reshape(centers, (-1, 2)), *borders,
+                      [mission.goal.xy]]).astype(float)
 
 
 def _dedupe_waypoints(points_xy, altitude: float) -> tuple[Point3, ...]:
@@ -202,42 +216,26 @@ def build_feasibility_graph(
     Every edge stays inside a single coverage area, so it is SNR-safe.
     """
     mission = scenario.mission
-    start_xy = (mission.start.x, mission.start.y)
-    goal_xy = (mission.goal.x, mission.goal.y)
-
     ids = sorted(maps)
-    start_cover = [k for k in ids if point_in_any_sector(start_xy, maps[k])]
+    start_cover = _covering(mission.start, ids, maps)
     if not start_cover:
         raise InfeasibleEndpointError("start", mission.start)
-    goal_cover = [k for k in ids if point_in_any_sector(goal_xy, maps[k])]
+    goal_cover = _covering(mission.goal, ids, maps)
     if not goal_cover:
         raise InfeasibleEndpointError("goal", mission.goal)
 
-    nodes = [GraphNode(0, start_xy[0], start_xy[1], NODE_START)]
-    bs_node: dict[int, int] = {}
-    for k in ids:
-        bs_node[k] = len(nodes)
-        cx, cy = maps[k].center
-        nodes.append(GraphNode(bs_node[k], cx, cy, NODE_BS, bs_id=k))
-    border_nodes: list[tuple[int, tuple[int, int]]] = []
-    for pair in sorted(commons):
-        for x, y in commons[pair].points:
-            nid = len(nodes)
-            nodes.append(GraphNode(nid, float(x), float(y), NODE_BORDER))
-            border_nodes.append((nid, pair))
-    goal_id = len(nodes)
-    nodes.append(GraphNode(goal_id, goal_xy[0], goal_xy[1], NODE_GOAL))
-
-    edges: list[tuple[int, int, float]] = []
-    for k in start_cover:
-        edges.append((0, bs_node[k], _distance(nodes[0], nodes[bs_node[k]])))
-    for nid, (k, j) in border_nodes:
-        edges.append((bs_node[k], nid, _distance(nodes[bs_node[k]], nodes[nid])))
-        edges.append((bs_node[j], nid, _distance(nodes[bs_node[j]], nodes[nid])))
-    for k in goal_cover:
-        edges.append((bs_node[k], goal_id, _distance(nodes[bs_node[k]], nodes[goal_id])))
-
-    return PlanGraph(nodes=tuple(nodes), edges=tuple(edges))
+    pairs = sorted(commons)
+    sizes = [commons[pair].points.shape[0] for pair in pairs]
+    xy = _node_table(mission, [maps[k].center for k in ids], [commons[pair].points for pair in pairs])
+    goal = xy.shape[0] - 1
+    # node 1 + i is the projection of station ids[i]; each border point links
+    # to its pair's two projections in turn
+    owner = 1 + np.searchsorted(ids, np.repeat(np.reshape(pairs, (-1, 2)), sizes, axis=0)).ravel()
+    start_cover, goal_cover = (1 + np.searchsorted(ids, c) for c in (start_cover, goal_cover))
+    edges = (_edges(xy, np.zeros_like(start_cover), start_cover)
+             + _edges(xy, owner, np.repeat(np.arange(1 + len(ids), goal), 2))
+             + _edges(xy, goal_cover, np.full_like(goal_cover, goal)))
+    return PlanGraph(xy=xy, edges=tuple(edges))
 
 
 def feasibility_graph_size(
@@ -300,16 +298,9 @@ def base_trajectory(
     pairs = sorted(commons)
     sizes = [commons[pair].points.shape[0] for pair in pairs]
     points = np.vstack([commons[pair].points for pair in pairs]) if pairs else np.empty((0, 2))
-    owner = np.repeat(np.array([[index[a], index[b]] for a, b in pairs], dtype=int).reshape(-1, 2),
-                      sizes, axis=0)
-    xy = np.array(centers)
-    # |c p| from each of the pair's stations by math.hypot, as the graph's
-    # edge weights are; np.hypot can differ in the last bit
-    spoke = [
-        np.fromiter(map(math.hypot, (xy[owner[:, side], 0] - points[:, 0]).tolist(),
-                        (xy[owner[:, side], 1] - points[:, 1]).tolist()), float, points.shape[0])
-        for side in (0, 1)
-    ]
+    owner = np.searchsorted(ids, np.repeat(np.reshape(pairs, (-1, 2)), sizes, axis=0))
+    # |c p| from each of the pair's stations, as the graph's edge weights are
+    spoke = [np.array(_lengths(np.array(centers)[owner[:, side]] - points)) for side in (0, 1)]
     partners: list[list[tuple[int, int, int, int]]] = [[] for _ in ids]
     cuts = np.cumsum([0, *sizes]).tolist()
     for (a, b), lo, hi in zip(pairs, cuts[:-1], cuts[1:]):
@@ -469,6 +460,50 @@ def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
     return ok
 
 
+class _Members(NamedTuple):
+    """Which nodes lie in which maps, for ``_segments_clear``."""
+
+    slot: np.ndarray  # (maps, nodes): the (node, map) pair's slot, -1 when not a member
+    polar: tuple  # ``_polar`` of each slot's node about its map's apex
+    table: tuple  # ``_jump_table`` of the maps
+
+
+def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
+             which: np.ndarray) -> _Members:
+    """Membership and polar offsets of the nodes xy[node[i]] in maps covs[which[i]].
+
+    The (node, map) pairs are sorted by map, then node, with no repeats, so
+    each map's members take consecutive slots, and each pair is computed once
+    however many segments end at it.
+    """
+    cuts = np.searchsorted(which, np.arange(len(covs) + 1)).tolist()
+    inside = np.concatenate([np.zeros(0, dtype=bool), *(
+        points_in_coverage(xy[node[lo:hi]], cov) for cov, lo, hi in zip(covs, cuts[:-1], cuts[1:])
+    )])
+    node, which = node[inside], which[inside]
+    slot = np.full((len(covs), xy.shape[0]), -1)
+    slot[which, node] = np.arange(node.size)
+    centers = np.array([cov.center for cov in covs], dtype=float).reshape(-1, 2)
+    return _Members(slot, _polar(xy[node], centers[which]), _jump_table(covs))
+
+
+def _segments_clear(xy: np.ndarray, members: _Members, u: np.ndarray, v: np.ndarray,
+                    which: np.ndarray) -> np.ndarray:
+    """True where the segment xy[u[i]]-xy[v[i]] lies in map which[i]: both
+    ends are members of that map and the segment crosses each of its jumps
+    inside R (``_jumps_clear``)."""
+    # flat indices into the (maps, nodes) table index faster than 2-D ones
+    offset = which * members.slot.shape[1]
+    tail, head = members.slot.ravel()[offset + u], members.slot.ravel()[offset + v]
+    ok = (tail >= 0) & (head >= 0)
+    rows = slice(None) if ok.all() else np.flatnonzero(ok)
+    tail, head, u, v, which = (a[rows] for a in (tail, head, u, v, which))
+    if which.size:
+        ok[rows] = _jumps_clear(xy[v] - xy[u], tuple(a[tail] for a in members.polar),
+                                tuple(a[head] for a in members.polar), which, members.table)
+    return ok
+
+
 def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np.ndarray:
     """Batched exact test: does segment p0[i]-p1[i] lie in the sector union?
 
@@ -477,14 +512,11 @@ def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np
     endpoints do and it crosses every jump of R inside R (``_jumps_clear``).
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-    ok = points_in_coverage(p0, cov) & points_in_coverage(p1, cov)
-    if ok.any():
-        center = np.asarray(cov.center)
-        p0, p1 = p0[ok], p1[ok]
-        ok[ok] = _jumps_clear(p1 - p0, _polar(p0, center), _polar(p1, center), 0,
-                              _jump_table([cov]))
-    return ok
+    xy = np.vstack([p0, np.atleast_2d(np.asarray(p1, dtype=float))])
+    n = p0.shape[0]
+    ends = np.arange(2 * n)
+    members = _members(xy, [cov], ends, np.zeros_like(ends))
+    return _segments_clear(xy, members, ends[:n], ends[n:], np.zeros(n, dtype=int))
 
 
 def line_in_coverage(x, y, cov: CoverageMap) -> bool:
@@ -505,68 +537,38 @@ def build_refined_graph(
     the boundary station's coverage; border-to-border hops through each middle
     station's coverage; and spokes from every border point to its pair's two
     projections. The base path is a subgraph, so the refined search can only
-    shorten it.
+    shorten it. The shortcuts of all families are checked in one batch.
     """
     order = base.visit_indices
     kprime = len(order)
-    mission = scenario.mission
-    start_xy = (mission.start.x, mission.start.y)
-    goal_xy = (mission.goal.x, mission.goal.y)
+    pairs = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:])]
+    borders = [commons[pair].points if pair in commons else np.empty((0, 2)) for pair in pairs]
+    xy = _node_table(scenario.mission, [maps[k].center for k in order], borders)
+    n = xy.shape[0]
+    # the border points between visits j and j + 1 (projections 1 + j and
+    # 2 + j) are nodes cuts[j]..cuts[j + 1] - 1
+    cuts = np.cumsum([1 + kprime, *(p.shape[0] for p in borders)])
+    slots = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    spoke = np.repeat(np.arange(1, kprime), np.diff(cuts))
+    edges = (_edges(xy, np.array([0, kprime]), np.array([1, n - 1]))
+             + _edges(xy, np.column_stack([spoke, spoke + 1]).ravel(),
+                      np.repeat(np.arange(cuts[0], n - 1), 2)))
 
-    nodes = [GraphNode(0, start_xy[0], start_xy[1], NODE_START)]
-    u_node: list[int] = []
-    for k in order:
-        nid = len(nodes)
-        cx, cy = maps[k].center
-        nodes.append(GraphNode(nid, cx, cy, NODE_BS, bs_id=k))
-        u_node.append(nid)
-    slot_nodes: list[list[int]] = []
-    for j in range(kprime - 1):
-        pair = (min(order[j], order[j + 1]), max(order[j], order[j + 1]))
-        pts = commons[pair].points if pair in commons else np.empty((0, 2))
-        ids = []
-        for x, y in pts:
-            nid = len(nodes)
-            nodes.append(GraphNode(nid, float(x), float(y), NODE_BORDER))
-            ids.append(nid)
-        slot_nodes.append(ids)
-    goal_id = len(nodes)
-    nodes.append(GraphNode(goal_id, goal_xy[0], goal_xy[1], NODE_GOAL))
-
-    def dist(i: int, j: int) -> float:
-        return _distance(nodes[i], nodes[j])
-
-    def xy(i: int) -> tuple[float, float]:
-        return (nodes[i].x, nodes[i].y)
-
-    edges: list[tuple[int, int, float]] = [
-        (0, u_node[0], dist(0, u_node[0])),
-        (u_node[-1], goal_id, dist(u_node[-1], goal_id)),
-    ]
-    for j in range(kprime - 1):
-        for nid in slot_nodes[j]:
-            edges.append((u_node[j], nid, dist(u_node[j], nid)))
-            edges.append((u_node[j + 1], nid, dist(u_node[j + 1], nid)))
-
-    def add_checked(pairs, cov):
-        if not pairs:
-            return
-        p0 = np.array([xy(u) for u, _ in pairs])
-        p1 = np.array([xy(v) for _, v in pairs])
-        for (u, v), good in zip(pairs, segments_in_coverage(p0, p1, cov)):
-            if good:
-                edges.append((u, v, dist(u, v)))
-
+    # shortcuts (u, v) through the map of visit m: the start to the first
+    # border set and the last set to the goal in the end maps, then each pair
+    # of consecutive sets in the map of the station between them
+    shortcuts = [(a.repeat(b.size), np.tile(b, a.size), m)
+                 for m, (a, b) in enumerate(zip(slots, slots[1:]), 1)]
     if kprime >= 2:
-        add_checked([(0, nid) for nid in slot_nodes[0]], maps[order[0]])
-        add_checked([(nid, goal_id) for nid in slot_nodes[-1]], maps[order[-1]])
-    for pivot in range(1, kprime - 1):
-        add_checked(
-            [(a, b) for a in slot_nodes[pivot - 1] for b in slot_nodes[pivot]],
-            maps[order[pivot]],
-        )
-
-    return PlanGraph(nodes=tuple(nodes), edges=tuple(edges))
+        shortcuts[:0] = [(np.zeros_like(slots[0]), slots[0], 0),
+                         (slots[-1], np.full_like(slots[-1], n - 1), kprime - 1)]
+        u, v, which = (np.concatenate(c) for c in zip(*((a, b, np.full(a.size, m))
+                                                         for a, b, m in shortcuts)))
+        ends = np.unique(np.concatenate([which * n + u, which * n + v]))
+        members = _members(xy, [maps[k] for k in order], ends % n, ends // n)
+        ok = _segments_clear(xy, members, u, v, which)
+        edges += _edges(xy, u[ok], v[ok])
+    return PlanGraph(xy=xy, edges=tuple(edges))
 
 
 def _free_search(
@@ -585,21 +587,17 @@ def _free_search(
     the segment between them stays in that map, as ``segments_in_coverage``
     decides. An edge is checked only when its tail is expanded, together with
     the tail's other edges, and only toward nodes whose Euclidean lower bound
-    stays below ``bound``; each node's offset, azimuth and radius about each
-    map's apex that holds it are computed once, before the search. The
-    Euclidean heuristic is consistent, so each node is expanded once. Returns
-    the waypoints of the shortest path, or None when no path is shorter than
+    stays below ``bound``; each node's membership and polar offsets in each
+    map are computed once, before the search (``_members``). The Euclidean
+    heuristic is consistent, so each node is expanded once. Returns the
+    waypoints of the shortest path, or None when no path is shorter than
     ``bound``.
     """
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
     borders = [commons[pair].points for pair in sorted(commons)]
-    xy = np.vstack([
-        [mission.start.xy],
-        [maps[k].center for k in stations],
-        np.unique(np.vstack(borders), axis=0) if borders else np.empty((0, 2)),
-        [mission.goal.xy],
-    ])
+    xy = _node_table(mission, [maps[k].center for k in stations],
+                     [np.unique(np.vstack(borders), axis=0)] if borders else [])
     to_goal = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
     from_start = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
     live = from_start + to_goal < bound * (1.0 + 1e-9)
@@ -608,16 +606,13 @@ def _free_search(
     xy, to_goal = xy[live], to_goal[live]
     n = xy.shape[0]
     goal = n - 1
-    covs = [maps[k] for k in stations]
-    inside = np.array([points_in_coverage(xy, cov) for cov in covs])
+    members = _members(xy, [maps[k] for k in stations], np.tile(np.arange(n), len(stations)),
+                       np.repeat(np.arange(len(stations)), n))
+    inside = members.slot >= 0
     # slot s: node slot_node[s] in map slot_map[s]; each map's slots form one run
     slot_map, slot_node = np.nonzero(inside)
-    polar = _polar(xy[slot_node], np.array([cov.center for cov in covs])[slot_map])
-    slot_of = np.full(inside.shape, -1)
-    slot_of[slot_map, slot_node] = np.arange(slot_node.size)
-    cuts = np.searchsorted(slot_map, np.arange(len(covs) + 1))
+    cuts = np.searchsorted(slot_map, np.arange(len(stations) + 1))
     runs = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    table = _jump_table(covs)
     cost = np.full(n, math.inf)
     cost[0] = 0.0
     parent = np.full(n, -1)
@@ -638,13 +633,8 @@ def _free_search(
         keep = ~closed[cand] & (reach < cost[cand]) & (reach + to_goal[cand] < bound)
         if not keep.any():
             continue
-        slots, cand, reach = slots[keep], cand[keep], reach[keep]
-        which = slot_map[slots]
-        tail = slot_of[which, u]
-        good = _jumps_clear(
-            xy[cand] - xy[u], tuple(v[tail] for v in polar), tuple(v[slots] for v in polar),
-            which, table,
-        )
+        cand, reach = cand[keep], reach[keep]
+        good = _segments_clear(xy, members, np.full(cand.size, u), cand, slot_map[slots[keep]])
         for v, c in zip(cand[good].tolist(), reach[good].tolist()):
             if c < cost[v]:
                 cost[v] = c
@@ -678,7 +668,7 @@ def optimize_trajectory(
     path = shortest_path(graph, 0, graph.node_count - 1)
     if path is None:  # cannot happen: the base path is a subgraph
         raise RuntimeError("refined graph unexpectedly disconnected")
-    points = np.array([(graph.nodes[i].x, graph.nodes[i].y) for i in path])
+    points = graph.xy[path]
     refined_length = float(np.hypot(*np.diff(points, axis=0).T).sum())
     # a path shorter only by rounding is a tie
     shorter = _free_search(scenario, maps, commons, refined_length * (1.0 - 1e-12))
@@ -720,8 +710,8 @@ def grid_baseline_plan(scenario: Scenario, grid_step: float = GRID_STEP) -> Grid
     along it are covered too. Mission endpoints snap to the nearest covered
     node, connected only when the snap segment passes the same sampled check.
     """
-    if grid_step <= 0.0:
-        raise InvalidConfigError(f"grid step must be positive: {grid_step}")
+    if not 0.0 < grid_step < math.inf:
+        raise InvalidConfigError(f"grid step must be finite and positive: {grid_step}")
     city = scenario.city
     xs = np.arange(0.0, city.width + 1e-9, grid_step)
     ys = np.arange(0.0, city.depth + 1e-9, grid_step)

@@ -199,7 +199,11 @@ class Scenario:
                 f"UAV altitude {r.uav_altitude} must exceed the tallest building "
                 f"({self.city.max_building_height})"
             )
+        seen = set()
         for bs in self.base_stations:
+            if bs.id in seen:
+                raise InvalidConfigError(f"base station id {bs.id} is used twice")
+            seen.add(bs.id)
             x, y = bs.xy
             if not self.city.contains_xy(x, y):
                 raise InvalidConfigError(f"base station {bs.id} outside city bounds")

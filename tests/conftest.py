@@ -189,8 +189,7 @@ def assert_edges_covered(graph, scenario, step=0.5) -> None:
     station meets the SNR threshold at each sample, by ``direct_snr_max``."""
     if not graph.edges:
         return
-    ends = np.array([[(graph.nodes[u].x, graph.nodes[u].y), (graph.nodes[v].x, graph.nodes[v].y)]
-                     for u, v, _ in graph.edges])
+    ends = graph.xy[np.array([(u, v) for u, v, _ in graph.edges])]
     d = ends[:, 1] - ends[:, 0]
     counts = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / step).astype(int) + 1)
     edge = np.repeat(np.arange(counts.size), counts)
@@ -504,12 +503,60 @@ def free_search_oracle(scenario, maps, commons, bound):
     return xy[path[::-1]]
 
 
+def refined_graph_oracle(base, scenario, maps, commons):
+    """Reference for ``planner.build_refined_graph``: the graph built node by
+    node, with one ``planner.segments_in_coverage`` call per shortcut family
+    and per pivot, each against that family's single map. Returns the node
+    positions (n, 2) and the edges.
+    """
+    from skypath.planner import segments_in_coverage
+
+    mission = scenario.mission
+    order = base.visit_indices
+    nodes = [mission.start.xy]
+    u_node = []
+    for k in order:
+        u_node.append(len(nodes))
+        nodes.append(maps[k].center)
+    slots = []
+    for a, b in zip(order, order[1:]):
+        pair = (min(a, b), max(a, b))
+        pts = commons[pair].points.tolist() if pair in commons else []
+        slots.append(list(range(len(nodes), len(nodes) + len(pts))))
+        nodes.extend(tuple(p) for p in pts)
+    goal = len(nodes)
+    nodes.append(mission.goal.xy)
+
+    def dist(i, j):
+        return math.hypot(nodes[i][0] - nodes[j][0], nodes[i][1] - nodes[j][1])
+
+    edges = [(0, u_node[0], dist(0, u_node[0])), (u_node[-1], goal, dist(u_node[-1], goal))]
+    for j, slot in enumerate(slots):
+        for nid in slot:
+            edges.append((u_node[j], nid, dist(u_node[j], nid)))
+            edges.append((u_node[j + 1], nid, dist(u_node[j + 1], nid)))
+
+    def add_checked(pairs, cov):
+        if pairs:
+            p0 = np.array([nodes[u] for u, _ in pairs])
+            p1 = np.array([nodes[v] for _, v in pairs])
+            ok = segments_in_coverage(p0, p1, cov)
+            edges.extend((u, v, dist(u, v)) for (u, v), good in zip(pairs, ok) if good)
+
+    if len(order) >= 2:
+        add_checked([(0, nid) for nid in slots[0]], maps[order[0]])
+        add_checked([(nid, goal) for nid in slots[-1]], maps[order[-1]])
+    for pivot in range(1, len(order) - 1):
+        add_checked([(a, b) for a in slots[pivot - 1] for b in slots[pivot]], maps[order[pivot]])
+    return np.array(nodes, dtype=float), edges
+
+
 def node_graph_base(scenario, maps, commons):
     """Reference for ``planner.base_trajectory``: Dijkstra over every node of
     ``build_feasibility_graph``. Returns the graph and the path's waypoints
     (x, y) and visited station ids, or the graph and None when disconnected.
     """
-    from skypath.planner import NODE_BS, build_feasibility_graph, shortest_path
+    from skypath.planner import build_feasibility_graph, shortest_path
 
     graph = build_feasibility_graph(scenario, maps, commons)
     path = shortest_path(graph, 0, graph.node_count - 1)
@@ -517,10 +564,12 @@ def node_graph_base(scenario, maps, commons):
         return graph, None
     waypoints = []
     for i in path:
-        p = (graph.nodes[i].x, graph.nodes[i].y)
+        p = tuple(graph.xy[i].tolist())
         if not waypoints or math.hypot(p[0] - waypoints[-1][0], p[1] - waypoints[-1][1]) > 1e-9:
             waypoints.append(p)
-    visited = tuple(graph.nodes[i].bs_id for i in path if graph.nodes[i].kind == NODE_BS)
+    # nodes 1..K are the projections of the maps in sorted id order
+    ids = sorted(maps)
+    visited = tuple(ids[i - 1] for i in path if 1 <= i <= len(ids))
     return graph, (waypoints, visited)
 
 

@@ -104,6 +104,16 @@ class TestPlan:
         bad.write_text("{not json")
         assert run(["plan", "--scenario", bad]) == 1
 
+    def test_duplicate_station_ids_exit_1(self, tmp_path, open_field_file, capsys):
+        data = json.loads(open_field_file.read_text())
+        data["base_stations"][1]["id"] = data["base_stations"][0]["id"]
+        twins = tmp_path / "twins.json"
+        twins.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert run(["plan", "--scenario", twins, "--out-dir", out_dir]) == 1
+        assert "error: base station id 1 is used twice" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestEval:
     def test_writes_csv_and_summary(self, tmp_path, open_field_file):
@@ -175,10 +185,19 @@ class TestMonteCarlo:
     ("montecarlo", ["--q", 0]),
     ("montecarlo", ["--grid-step", 0]),
     ("montecarlo", ["--outage-step", 0]),
+] + [
+    # zero and non-finite steps
+    (command, [flag, value, *(["--trials", 1] if command == "montecarlo" else [])])
+    for command, flag in [("plan", "--angular-step-deg"), ("plan", "--grid-step"),
+                          ("eval", "--angular-step-deg"), ("eval", "--grid-step"),
+                          ("eval", "--outage-step"), ("montecarlo", "--angular-step-deg"),
+                          ("montecarlo", "--grid-step"), ("montecarlo", "--outage-step")]
+    for value in ("0", "nan", "inf")
 ])
-def test_rejected_call_leaves_no_out_dir(tmp_path, open_field_file, command, extra):
+def test_rejected_call_leaves_no_out_dir(tmp_path, open_field_file, capsys, command, extra):
     # montecarlo rejects settings every trial would fail on rather than
     # recording each trial as infeasible
     out_dir = tmp_path / "out"
     assert run([command, "--scenario", open_field_file, "--out-dir", out_dir, *extra]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out_dir.exists()

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skypath.coverage import (
+    MIN_SECTOR_RADIUS,
     RADIUS_SAFETY,
     LinkState,
     _blockers,
+    _cells_to_wedges,
+    _certified_cell_radii,
     _first_blocking_radius,
     build_all_coverage,
     build_coverage_map,
@@ -901,8 +904,20 @@ class TestBatchBuilder:
 
     @pytest.mark.parametrize("merge_tol", [0.0, -1.0])
     def test_non_positive_merge_tolerance(self, merge_tol, params):
+        # the stacked cell merge against one row at a time, where every cell
+        # starts its own group
         scn = small_city_scenario(seed=19, k=4)
-        self._check(scn.base_stations, scn.city, params, merge_tol=merge_tol)
+        centers = np.array([bs.xy for bs in scn.base_stations])
+        radii = _certified_cell_radii(centers, scn.city, params, 720) - RADIUS_SAFETY
+        radii = np.maximum(radii, 0.0)
+        *stacked, counts = _cells_to_wedges(radii, merge_tol, MIN_SECTOR_RADIUS)
+        assert counts.sum() == stacked[0].size
+        cuts = np.cumsum([0, *counts])
+        for row, lo, hi in zip(radii, cuts[:-1], cuts[1:]):
+            *alone, count = _cells_to_wedges(row[None, :], merge_tol, MIN_SECTOR_RADIUS)
+            assert count.tolist() == [hi - lo]
+            for a, b in zip(stacked, alone):
+                assert_bitwise(a[lo:hi], b)
 
     def test_one_station(self, params):
         scn = small_city_scenario(seed=23, k=3)

@@ -92,8 +92,9 @@ class TestOutageFraction:
 
     def test_rejects_bad_step(self):
         scn = open_field_scenario([(1000.0, 1000.0)])
-        with pytest.raises(ValueError):
-            outage_fraction(straight_line_plan(scn.mission), scn, step=0.0)
+        for step in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                outage_fraction(straight_line_plan(scn.mission), scn, step=step)
 
 
 class TestSamplePolyline:
@@ -322,6 +323,16 @@ class TestMonteCarlo:
                     {"outage_step": -1.0}):
             with pytest.raises(ValueError):
                 MonteCarloConfig(trials=1, **bad)
+
+    @pytest.mark.parametrize("field, error", [
+        ("angular_step", InvalidConfigError),
+        ("grid_step", InvalidConfigError),
+        ("outage_step", ValueError),
+    ])
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_zero_or_non_finite_step(self, field, error, value):
+        with pytest.raises(error, match="finite and positive|evenly divide"):
+            MonteCarloConfig(trials=1, **{field: value})
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_fewer_than_one_job(self, jobs):

@@ -17,10 +17,8 @@ from skypath.coverage import (
 from skypath.evaluation import sample_polyline
 from skypath.geometry import Point3
 from skypath.planner import (
-    GraphNode,
     InfeasibleEndpointError,
     PlanGraph,
-    _distance,
     _free_search,
     Trajectory,
     base_trajectory,
@@ -31,21 +29,28 @@ from skypath.planner import (
     line_in_coverage,
     optimize_trajectory,
     save_trajectory,
+    segments_in_coverage,
     shortest_path,
     straight_line_plan,
 )
-from skypath.scenario import build_default_scenario, default_mission, place_base_stations
+from skypath.scenario import (InvalidConfigError, build_default_scenario, default_mission,
+                              place_base_stations)
 
 from conftest import (assert_edges_covered, direct_snr_max, free_search_oracle, line_check_tie,
-                      node_graph_base, open_field_scenario, sampled_line_in_coverage,
-                      small_city_scenario)
+                      node_graph_base, open_field_scenario, refined_graph_oracle,
+                      sampled_line_in_coverage, small_city_scenario)
 
 R_CLAIMED = math.sqrt(281203.58684358007) - 0.01  # claimed open-field radius
 
 
 def graph_from_edges(n, edges):
-    nodes = tuple(GraphNode(i, float(i), 0.0, "border_point") for i in range(n))
-    return PlanGraph(nodes=nodes, edges=tuple(edges))
+    xy = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    return PlanGraph(xy=xy, edges=tuple(edges))
+
+
+def path_length(graph, path):
+    """Summed Euclidean legs of a node path, each by ``math.hypot``."""
+    return sum(math.hypot(*(graph.xy[a] - graph.xy[b])) for a, b in zip(path, path[1:]))
 
 
 class TestShortestPath:
@@ -298,8 +303,7 @@ class TestPrunedFreeSearch:
             searched += 1
             refined = build_refined_graph(base, scn, maps, commons)
             path = shortest_path(refined, 0, refined.node_count - 1)
-            refined_length = sum(_distance(refined.nodes[a], refined.nodes[b])
-                                 for a, b in zip(path, path[1:]))
+            refined_length = path_length(refined, path)
             straight = scn.mission.start.distance_to(scn.mission.goal)
             best = free_search_oracle(scn, maps, commons, math.inf)
             shortest = float(np.hypot(*np.diff(best, axis=0).T).sum())
@@ -479,6 +483,58 @@ def _grazing_leg(a, b, shared, maps):
     )
 
 
+@pytest.fixture(scope="module")
+def refined_inputs():
+    """(scenario, maps, commons, base) of default-city placements 100-129 and
+    small-city seeds 11, 19 and 23 whose base path exists."""
+    cases = []
+    city = build_default_scenario(seed=1, k=25)
+    scenarios = [(city.with_base_stations(place_base_stations(
+        city.city, k=25, h_g=city.radio.bs_height, seed=seed)), 64, seed)
+        for seed in range(100, 130)]
+    scenarios += [(small_city_scenario(seed=seed, k=6), 16, seed) for seed in (11, 19, 23)]
+    for scn, q, seed in scenarios:
+        maps, commons = build_all_coverage(scn, border_samples=q)
+        try:
+            base = base_trajectory(scn, maps, commons)
+        except InfeasibleEndpointError:
+            continue
+        if base is not None:
+            cases.append((seed, scn, maps, commons, base))
+    return cases
+
+
+class TestBatchedShortcutChecks:
+    """The refined graph's shortcuts, checked in one batch over its maps."""
+
+    def test_matches_one_check_per_family(self, refined_inputs):
+        checked = 0
+        for seed, scn, maps, commons, base in refined_inputs:
+            if seed >= 110:  # placements 100-109 and the small cities
+                continue
+            got = build_refined_graph(base, scn, maps, commons)
+            xy, edges = refined_graph_oracle(base, scn, maps, commons)
+            assert got.xy.tobytes() == xy.tobytes()
+            assert list(got.edges) == edges
+            checked += 1
+        assert checked >= 5
+
+    def test_every_edge_is_a_free_search_edge(self, refined_inputs):
+        """Each refined edge lies in some map that holds both its ends, so the
+        sequence-free search over the same points has it too."""
+        edges = 0
+        for seed, scn, maps, commons, base in refined_inputs:
+            graph = build_refined_graph(base, scn, maps, commons)
+            ends = np.array([(u, v) for u, v, _ in graph.edges])
+            p0, p1 = graph.xy[ends[:, 0]], graph.xy[ends[:, 1]]
+            accepted = np.zeros(ends.shape[0], dtype=bool)
+            for cov in maps.values():
+                accepted |= segments_in_coverage(p0, p1, cov)
+            assert accepted.all(), f"placement {seed}: edge {ends[~accepted][0]} in no map"
+            edges += ends.shape[0]
+        assert edges > 6000
+
+
 class TestOptimizeOracle:
     """optimize_trajectory against an exhaustive search over the same points.
 
@@ -504,9 +560,7 @@ class TestOptimizeOracle:
             common = shared(i, j)
             if common and _covered_leg(xy[i], xy[j], common, maps):
                 edges.append((i, j, float(math.hypot(*(xy[j] - xy[i])))))
-        nodes = tuple(GraphNode(i, float(x), float(y), "border_point")
-                      for i, (x, y) in enumerate(xy))
-        oracle_path = shortest_path(PlanGraph(nodes=nodes, edges=tuple(edges)), 0, len(xy) - 1)
+        oracle_path = shortest_path(PlanGraph(xy=xy, edges=tuple(edges)), 0, len(xy) - 1)
         oracle = _path_cost(oracle_path, edges)
 
         base = base_trajectory(scn, maps, commons)
@@ -543,8 +597,7 @@ class TestOptimizeOracle:
         base, opt = self._check(scn, maps, commons)
         refined = build_refined_graph(base, scn, maps, commons)
         path = shortest_path(refined, 0, refined.node_count - 1)
-        refined_length = sum(_distance(refined.nodes[a], refined.nodes[b])
-                             for a, b in zip(path, path[1:]))
+        refined_length = path_length(refined, path)
         assert opt.length < refined_length - 1.0
 
 
@@ -561,6 +614,12 @@ class TestGridBaseline:
         scn = open_field_scenario([(1000.0, 1000.0)])
         res = grid_baseline_plan(scn, grid_step=10.0)
         assert res.node_count <= 201 * 201
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    def test_rejects_zero_or_non_finite_step(self, step):
+        scn = open_field_scenario([(1000.0, 1000.0)])
+        with pytest.raises(InvalidConfigError, match="finite and positive"):
+            grid_baseline_plan(scn, grid_step=step)
 
     def test_infeasible_when_endpoint_uncoverable(self):
         scn = open_field_scenario([(1000.0, 1000.0)],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skypath.scenario import (
+    BaseStation,
     InvalidConfigError,
     PlacementError,
     Scenario,
@@ -129,6 +130,17 @@ class TestScenarioValidation:
         with pytest.raises(InvalidConfigError):
             Scenario(city=city, base_stations=stations, radio=radio,
                      mission=default_mission((50, 50), (900, 900)))
+
+    def test_station_ids_must_differ(self):
+        # maps are keyed by station id, so a shared id would drop a station
+        scenario = build_default_scenario(seed=1)
+        first, second, *rest = scenario.base_stations
+        twin = BaseStation(first.id, second.position)
+        with pytest.raises(InvalidConfigError, match=f"id {first.id} is used twice"):
+            Scenario(city=scenario.city, base_stations=(first, twin, *rest),
+                     radio=scenario.radio, mission=scenario.mission)
+        with pytest.raises(InvalidConfigError):
+            scenario.with_base_stations((first, twin, *rest))
 
 
 class TestPersistence:
