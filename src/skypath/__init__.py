@@ -18,7 +18,6 @@ from .coverage import (
     coverage_disk_radius_sq,
     discretize_border,
     network_covered,
-    point_in_any_sector,
 )
 from .evaluation import (
     MonteCarloConfig,

@@ -266,6 +266,7 @@ def cmd_montecarlo(args) -> int:
         "base_seed": config.base_seed,
         "planners": list(config.planners),
         "border_samples": config.border_samples,
+        "angular_step_deg": args.angular_step_deg,
         "grid_step": config.grid_step,
         "outage_step": config.outage_step,
     }

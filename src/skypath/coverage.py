@@ -33,9 +33,10 @@ zero-outage guarantee.
 ``build_coverage_maps`` builds the maps of a batch of stations together:
 the blocking sweep and certified radii, the greedy cell merge, the border
 walk and the jumps of R each run once over the stacked arrays of all of
-them, and each map equals the one built alone, bit for bit. The common
-borders of all station pairs take one ``points_in_coverage`` call per map,
-on the stacked border points of every station whose coverage can reach it.
+them, and each map equals the one built alone, bit for bit.
+``points_in_coverage`` answers any set of (point, map) rows in one call and
+alone applies the reach rule (no map holds a point beyond its largest radius
+plus GEOM_EPS); the common borders of all station pairs take one such call.
 """
 
 from __future__ import annotations
@@ -381,38 +382,61 @@ class CommonBorder:
     points: np.ndarray  # (N, 2)
 
 
-def points_in_coverage(points_xy: np.ndarray, cov: CoverageMap) -> np.ndarray:
-    """Membership of points (n, 2) in the map's closed wedges, with slack.
+def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> np.ndarray:
+    """Membership of the points xy[point[i]] in the closed wedges of
+    maps[which[i]], with slack, one row each. With one map and no ``point``
+    or ``which``, every point (n, 2) against that map.
 
     The radial slack is GEOM_EPS; the angular slack is GEOM_EPS of arc length
     at the point's own radius, so the tolerance is uniform in meters. Points
     within GEOM_EPS of the apex belong to any map with a wedge of positive
-    radius. The wedges are sorted and disjoint, so only the wedge bracketing a
-    point's azimuth and its two neighbours (for the slack and the 2*pi wrap)
-    can hold it.
+    radius. So no point farther than max_radius + GEOM_EPS from the apex is
+    in a map (rounding is monotone, so that holds for the rounded sums too),
+    and only the rows within that reach go on. The wedges are sorted and
+    disjoint, so only the wedge bracketing a point's azimuth and its two
+    neighbours (for the slack and the 2*pi wrap) can hold it. The bracket is
+    the count of the map's starts <= the azimuth, as ``np.searchsorted`` with
+    side="right" gives it, taken for every row at once by merging the rows'
+    azimuths into the stacked starts, sorted by map, then angle, starts first.
     """
     xy = _as_points(points_xy)
-    if cov.is_empty:
-        return np.zeros(xy.shape[0], dtype=bool)
-    starts, spans, radii = cov.starts, cov.ends - cov.starts, cov.radii
-    dx = xy[:, 0] - cov.center[0]
-    dy = xy[:, 1] - cov.center[1]
+    if isinstance(maps, CoverageMap):
+        maps, point, which = [maps], np.arange(xy.shape[0]), np.zeros(xy.shape[0], dtype=int)
+    point, which = np.asarray(point, dtype=int), np.asarray(which, dtype=int)
+    counts = np.array([cov.radii.size for cov in maps], dtype=int)
+    centers = np.array([cov.center for cov in maps], dtype=float).reshape(-1, 2)
+    max_radius = np.array([cov.max_radius for cov in maps])
+    dx = xy[point, 0] - centers[which, 0]
+    dy = xy[point, 1] - centers[which, 1]
     r = np.hypot(dx, dy)
+    inside = np.zeros(point.size, dtype=bool)
+    rows = np.flatnonzero((r <= max_radius[which] + GEOM_EPS) & (counts[which] > 0))
+    if rows.size == 0:
+        return inside
+    dx, dy, r, which = dx[rows], dy[rows], r[rows], which[rows]
+    starts = np.concatenate([cov.starts for cov in maps])
+    spans = np.concatenate([cov.ends for cov in maps]) - starts
+    radii = np.concatenate([cov.radii for cov in maps])
+    first = np.cumsum(counts) - counts
     az = np.arctan2(dy, dx)
     az = np.where(az < 0.0, az + TWO_PI, az)
     ang_tol = GEOM_EPS / np.maximum(r, GEOM_EPS)
-    idx = np.searchsorted(starts, az, side="right") - 1
-    inside = (r <= GEOM_EPS) & bool((radii > 0.0).any())
+
+    is_row = np.repeat([False, True], [starts.size, rows.size])
+    order = np.lexsort((is_row, np.concatenate([starts, az]),
+                        np.concatenate([np.repeat(np.arange(len(maps)), counts), which])))
+    at_most = np.cumsum(~is_row[order])  # starts up to each merged position
+    idx = np.empty(rows.size, dtype=int)
+    idx[order[is_row[order]] - starts.size] = at_most[is_row[order]]
+    idx -= first[which] + 1
+    hit = (r <= GEOM_EPS) & (max_radius[which] > 0.0)
     for off in (-1, 0, 1):
-        j = (idx + off) % starts.size
+        j = first[which] + (idx + off) % counts[which]
         delta = (az - starts[j]) % TWO_PI
         ok = (delta <= spans[j] + ang_tol) | (delta >= TWO_PI - ang_tol)
-        inside |= ok & (r <= radii[j] + GEOM_EPS)
+        hit |= ok & (r <= radii[j] + GEOM_EPS)
+    inside[rows] = hit
     return inside
-
-
-def point_in_any_sector(p, cov: CoverageMap) -> bool:
-    return bool(points_in_coverage(np.asarray(p, dtype=float), cov)[0])
 
 
 def distance_to_coverage(p, cov: CoverageMap) -> float:
@@ -712,47 +736,35 @@ def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], CommonBord
 
     The pair (maps[i], maps[j]), i < j, keeps the border points of maps[i]
     inside maps[j], then those of maps[j] inside maps[i]; pairs that share no
-    point are left out. Membership is elementwise, so each map tests the
-    stacked border points of all its partners in one ``points_in_coverage``
-    call, and the result is split back per partner.
+    point are left out. The candidate pairs are those whose apexes lie within
+    the sum of their largest radii plus GEOM_EPS, found by one (K, K) test.
+    Every (border point, partner map) row of every candidate pair is then
+    tested in one ``points_in_coverage`` call, pair by pair in order, and the
+    points kept are split back into their pairs once.
     """
-    n = len(maps)
-    reach = [cov.max_radius for cov in maps]
-    partners = [[] for _ in maps]  # sorted indices of the maps that can overlap
-    for i, a in enumerate(maps):
-        for j in range(i + 1, n):
-            b = maps[j]
-            if a.is_empty or b.is_empty:
-                continue
-            gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
-            if gap > reach[i] + reach[j] + GEOM_EPS:
-                continue
-            partners[i].append(j)
-            partners[j].append(i)
-
-    inside = {}  # (p, m): which border points of maps[p] lie inside maps[m]
-    for m, cov in enumerate(maps):
-        ps = [p for p in partners[m] if maps[p].border_count]
-        if not ps:
-            continue
-        hits = points_in_coverage(np.vstack([maps[p].border_points for p in ps]), cov)
-        cuts = np.cumsum([maps[p].border_count for p in ps])[:-1]
-        inside.update(((p, m), mask) for p, mask in zip(ps, np.split(hits, cuts)))
-
+    centers = np.array([cov.center for cov in maps], dtype=float).reshape(-1, 2)
+    reach = np.array([cov.max_radius for cov in maps])
+    full = np.array([not cov.is_empty for cov in maps], dtype=bool)
+    d = centers[:, None] - centers[None, :]
+    near = np.hypot(d[..., 0], d[..., 1]) <= reach[:, None] + reach[None, :] + GEOM_EPS
+    near &= full[:, None] & full[None, :]
+    i, j = np.nonzero(np.triu(near, 1))
+    # block 2t tests the border points of maps[i[t]] in maps[j[t]], block 2t + 1 the reverse
+    owner, other = np.column_stack([i, j]).ravel(), np.column_stack([j, i]).ravel()
+    counts = np.array([cov.border_count for cov in maps], dtype=int)
+    sizes = counts[owner]
+    first = np.cumsum(counts) - counts
+    point = np.repeat(first[owner] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    border = np.concatenate([np.empty((0, 2)), *(cov.border_points for cov in maps)])
+    hit = points_in_coverage(border, maps, point, np.repeat(other, sizes))
+    pair = np.repeat(np.arange(i.size), sizes[0::2] + sizes[1::2])[hit]
+    kept = np.bincount(pair, minlength=i.size)
+    some = kept > 0
     commons = {}
-    for i, a in enumerate(maps):
-        for j in partners[i]:
-            if j < i:
-                continue
-            pts = [
-                maps[p].border_points[inside[p, m]]
-                for p, m in ((i, j), (j, i))
-                if (p, m) in inside
-            ]
-            points = np.vstack(pts) if pts else np.empty((0, 2))
-            if points.shape[0]:
-                pair = (a.bs_id, maps[j].bs_id)
-                commons[pair] = CommonBorder(pair, points)
+    for a, b, points in zip(i[some].tolist(), j[some].tolist(),
+                            np.split(border[point[hit]], np.cumsum(kept[some])[:-1])):
+        key = (maps[a].bs_id, maps[b].bs_id)
+        commons[key] = CommonBorder(key, points)
     return commons
 
 

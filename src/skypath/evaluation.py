@@ -20,7 +20,7 @@ from .coverage import (
     check_map_settings,
     coverage_disk_radius_sq,
     network_covered,
-    point_in_any_sector,
+    points_in_coverage,
 )
 from .geometry import GEOM_EPS
 from .planner import (
@@ -151,7 +151,8 @@ def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int)
         todo = [bs for bs in near if bs.id not in maps]
         maps.update((cov.bs_id, cov) for cov in build_coverage_maps(
             todo, scenario.city, scenario.radio, angular_step, border_samples))
-        count = sum(point_in_any_sector(point.xy, maps[bs.id]) for bs in near)
+        count = int(points_in_coverage([point.xy], [maps[bs.id] for bs in near],
+                                       np.zeros(len(near), dtype=int), np.arange(len(near))).sum())
         if not count:
             raise InfeasibleEndpointError(name, point)
         counts.append(count)

@@ -58,8 +58,8 @@ class Building:
     def __post_init__(self) -> None:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate footprint: {self}")
-        if self.height <= 0.0:
-            raise ValueError(f"non-positive height: {self.height}")
+        if not 0.0 < self.height < math.inf:
+            raise ValueError(f"building height must be finite and positive: {self.height}")
 
     def contains_xy(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max

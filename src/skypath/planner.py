@@ -14,7 +14,9 @@ needs them.
 
 Both graphs are node tables (``PlanGraph.xy``) with edge lists. Every segment
 check (refined shortcuts, A* edges, ``segments_in_coverage``) passes (u, v,
-map) triples to ``_members``, once per (node, map) pair, and ``_segments_clear``.
+map) triples to ``_members``, which makes one ``points_in_coverage`` call for
+all its (node, map) pairs, and ``_segments_clear``. The maps holding the
+mission endpoints come from one such call as well.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coverage import (
-    CommonBorder,
-    CoverageMap,
-    network_covered,
-    point_in_any_sector,
-    points_in_coverage,
-)
+from .coverage import CommonBorder, CoverageMap, network_covered, points_in_coverage
 from .geometry import GEOM_EPS, TWO_PI, Point3
 from .scenario import InvalidConfigError, Mission, Scenario
 
@@ -217,13 +213,7 @@ def build_feasibility_graph(
     """
     mission = scenario.mission
     ids = sorted(maps)
-    start_cover = _covering(mission.start, ids, maps)
-    if not start_cover:
-        raise InfeasibleEndpointError("start", mission.start)
-    goal_cover = _covering(mission.goal, ids, maps)
-    if not goal_cover:
-        raise InfeasibleEndpointError("goal", mission.goal)
-
+    start_cover, goal_cover = _endpoint_covers(mission, ids, maps)
     pairs = sorted(commons)
     sizes = [commons[pair].points.shape[0] for pair in pairs]
     xy = _node_table(mission, [maps[k].center for k in ids], [commons[pair].points for pair in pairs])
@@ -252,16 +242,19 @@ def feasibility_graph_size(
     return 2 + len(maps) + border, start_cover + 2 * border + goal_cover
 
 
-def _covering(point: Point3, ids: list[int], maps: dict[int, CoverageMap]) -> list[int]:
-    """The ids whose map holds the point, in order.
-
-    A map holds no point farther from its apex than its largest radius plus
-    GEOM_EPS, measured as ``points_in_coverage`` measures it.
-    """
-    reach = np.array([maps[k].max_radius for k in ids]) + GEOM_EPS
-    centers = np.array([maps[k].center for k in ids]).reshape(-1, 2)
-    near = np.hypot(point.x - centers[:, 0], point.y - centers[:, 1]) <= reach
-    return [k for k, ok in zip(ids, near.tolist()) if ok and point_in_any_sector(point.xy, maps[k])]
+def _endpoint_covers(mission: Mission, ids: list[int], maps: dict[int, CoverageMap]):
+    """The ids whose map holds the start and those whose map holds the goal,
+    in order, from one ``points_in_coverage`` call. Raises
+    InfeasibleEndpointError, for the start first, when no map holds one."""
+    n = len(ids)
+    held = points_in_coverage([mission.start.xy, mission.goal.xy], [maps[k] for k in ids],
+                              np.repeat([0, 1], n), np.tile(np.arange(n), 2)).reshape(2, n)
+    covers = []
+    for name, point, row in (("start", mission.start, held[0]), ("goal", mission.goal, held[1])):
+        if not row.any():
+            raise InfeasibleEndpointError(name, point)
+        covers.append([k for k, ok in zip(ids, row.tolist()) if ok])
+    return covers
 
 
 def base_trajectory(
@@ -284,13 +277,8 @@ def base_trajectory(
     """
     mission = scenario.mission
     ids = sorted(maps)
-    start_cover = _covering(mission.start, ids, maps)
-    if not start_cover:
-        raise InfeasibleEndpointError("start", mission.start)
-    goal_cover = set(_covering(mission.goal, ids, maps))
-    if not goal_cover:
-        raise InfeasibleEndpointError("goal", mission.goal)
-
+    start_cover, goal_cover = _endpoint_covers(mission, ids, maps)
+    goal_cover = set(goal_cover)
     index = {k: i for i, k in enumerate(ids)}
     centers = [maps[k].center for k in ids]
     goal = len(ids)  # the goal's heap index follows every station's, as its node id does
@@ -476,10 +464,7 @@ def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
     each map's members take consecutive slots, and each pair is computed once
     however many segments end at it.
     """
-    cuts = np.searchsorted(which, np.arange(len(covs) + 1)).tolist()
-    inside = np.concatenate([np.zeros(0, dtype=bool), *(
-        points_in_coverage(xy[node[lo:hi]], cov) for cov, lo, hi in zip(covs, cuts[:-1], cuts[1:])
-    )])
+    inside = points_in_coverage(xy, covs, node, which)
     node, which = node[inside], which[inside]
     slot = np.full((len(covs), xy.shape[0]), -1)
     slot[which, node] = np.arange(node.size)

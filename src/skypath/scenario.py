@@ -76,8 +76,9 @@ class CityMap:
 
     def __post_init__(self) -> None:
         self.buildings = tuple(self.buildings)
-        if self.width <= 0.0 or self.depth <= 0.0:
-            raise InvalidConfigError(f"non-positive city extent {self.width}x{self.depth}")
+        if not (0.0 < self.width < math.inf and 0.0 < self.depth < math.inf):
+            raise InvalidConfigError(
+                f"city width and depth must be finite and positive: {self.width}x{self.depth}")
         for b in self.buildings:
             if b.x_min < -GEOM_EPS or b.x_max > self.width + GEOM_EPS:
                 raise InvalidConfigError(f"footprint outside city bounds: {b}")
@@ -246,8 +247,10 @@ def generate_city(
     ``block_size - street_width``; heights are drawn i.i.d. Rayleigh and
     clamped into ``height_range``. Deterministic for a given seed.
     """
-    if width <= 0.0 or depth <= 0.0 or block_size <= 0.0:
-        raise InvalidConfigError("city dimensions and block size must be positive")
+    for name, value in (("width", width), ("depth", depth), ("block size", block_size),
+                        ("rayleigh scale", rayleigh_scale)):
+        if not 0.0 < value < math.inf:
+            raise InvalidConfigError(f"{name} must be finite and positive: {value}")
     if not (block_size > street_width >= 0.0):
         raise InvalidConfigError(
             f"need block_size > street_width >= 0, got {block_size}, {street_width}"
@@ -255,8 +258,6 @@ def generate_city(
     h_lo, h_hi = height_range
     if not (0.0 < h_lo <= h_hi):
         raise InvalidConfigError(f"bad height range {height_range}")
-    if rayleigh_scale <= 0.0:
-        raise InvalidConfigError(f"rayleigh scale must be positive: {rayleigh_scale}")
 
     nx = int(width // block_size)
     ny = int(depth // block_size)

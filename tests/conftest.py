@@ -2,8 +2,9 @@
 
 The reference models are written out here so that the code they check shares
 no kernel with them: the explicit SNR model, a generic per-segment slab test
-for roof blocking, sector membership over every sector at once, and brute
-force or unbatched copies of the planner's searches and map building.
+for roof blocking, sector membership over every sector at once, one-map
+wedge membership, and brute force or unbatched copies of the planner's
+searches and map building.
 """
 
 import math
@@ -184,6 +185,35 @@ def points_in_sectors(xy, center, starts, spans, radii) -> np.ndarray:
     return (in_ang & in_rad).any(axis=1) | ((r <= GEOM_EPS) & (radii > 0.0).any())
 
 
+def map_membership_oracle(points_xy, cov) -> np.ndarray:
+    """Reference for ``coverage.points_in_coverage``: membership of points
+    (n, 2) in one map, by a ``searchsorted`` over that map's starts alone.
+
+    The radial slack is GEOM_EPS; the angular slack is GEOM_EPS of arc length
+    at the point's own radius; points within GEOM_EPS of the apex belong to a
+    map with a wedge of positive radius. Only the wedge bracketing a point's
+    azimuth and its two neighbours can hold it.
+    """
+    xy = np.atleast_2d(np.asarray(points_xy, dtype=float)).reshape(-1, 2)
+    if cov.is_empty:
+        return np.zeros(xy.shape[0], dtype=bool)
+    starts, spans, radii = cov.starts, cov.ends - cov.starts, cov.radii
+    dx = xy[:, 0] - cov.center[0]
+    dy = xy[:, 1] - cov.center[1]
+    r = np.hypot(dx, dy)
+    az = np.arctan2(dy, dx)
+    az = np.where(az < 0.0, az + TWO_PI, az)
+    ang_tol = GEOM_EPS / np.maximum(r, GEOM_EPS)
+    idx = np.searchsorted(starts, az, side="right") - 1
+    inside = (r <= GEOM_EPS) & bool((radii > 0.0).any())
+    for off in (-1, 0, 1):
+        j = (idx + off) % starts.size
+        delta = (az - starts[j]) % TWO_PI
+        ok = (delta <= spans[j] + ang_tol) | (delta >= TWO_PI - ang_tol)
+        inside |= ok & (r <= radii[j] + GEOM_EPS)
+    return inside
+
+
 def assert_edges_covered(graph, scenario, step=0.5) -> None:
     """Sample every graph edge at most ``step`` apart and assert the best
     station meets the SNR threshold at each sample, by ``direct_snr_max``."""
@@ -202,13 +232,11 @@ def assert_edges_covered(graph, scenario, step=0.5) -> None:
 
 def sampled_line_in_coverage(a, b, cov, step=0.5) -> bool:
     """Dense-sampling reference for the segment-inside-coverage predicate."""
-    from skypath.coverage import points_in_coverage
-
     length = math.hypot(b[0] - a[0], b[1] - a[1])
     n = max(2, int(math.ceil(length / step)) + 1)
     lam = np.linspace(0.0, 1.0, n)
     pts = np.outer(1 - lam, a) + np.outer(lam, b)
-    return bool(points_in_coverage(pts, cov).all())
+    return bool(map_membership_oracle(pts, cov).all())
 
 
 def line_check_tie(a, b, cov, step=0.5) -> bool:
@@ -217,13 +245,13 @@ def line_check_tie(a, b, cov, step=0.5) -> bool:
     Ties: the uncovered excursion found at 4x finer sampling is shallower than
     the geometric tolerance scale or shorter than the oracle step.
     """
-    from skypath.coverage import distance_to_coverage, points_in_coverage
+    from skypath.coverage import distance_to_coverage
 
     length = math.hypot(b[0] - a[0], b[1] - a[1])
     n = max(2, int(math.ceil(length / step)) + 1)
     lam = np.linspace(0.0, 1.0, 4 * n)
     pts = np.outer(1 - lam, a) + np.outer(lam, b)
-    outside = ~points_in_coverage(pts, cov)
+    outside = ~map_membership_oracle(pts, cov)
     if not outside.any():
         return True  # excursion below even 4x oracle resolution
     depth = max(distance_to_coverage(p, cov) for p in pts[outside])
@@ -324,8 +352,6 @@ def pairwise_common_borders(maps) -> dict:
     Keys are (k, j) with k < j over the sorted station ids; each value holds
     k's border points inside j's map, then j's border points inside k's map.
     """
-    from skypath.coverage import points_in_coverage
-
     ids = sorted(maps)
     out = {}
     for i, k in enumerate(ids):
@@ -338,9 +364,9 @@ def pairwise_common_borders(maps) -> dict:
                 continue
             pts = []
             if a.border_count:
-                pts.append(a.border_points[points_in_coverage(a.border_points, b)])
+                pts.append(a.border_points[map_membership_oracle(a.border_points, b)])
             if b.border_count:
-                pts.append(b.border_points[points_in_coverage(b.border_points, a)])
+                pts.append(b.border_points[map_membership_oracle(b.border_points, a)])
             points = np.vstack(pts) if pts else np.empty((0, 2))
             if points.shape[0]:
                 out[(k, j)] = points
@@ -442,7 +468,6 @@ def free_search_oracle(scenario, maps, commons, bound):
     """
     from heapq import heappop, heappush
 
-    from skypath.coverage import points_in_coverage
     from skypath.planner import _jump_table, _jumps_clear
 
     def polar(points, centers):
@@ -461,7 +486,7 @@ def free_search_oracle(scenario, maps, commons, bound):
     n = xy.shape[0]
     goal = n - 1
     covs = [maps[k] for k in stations]
-    inside = np.array([points_in_coverage(xy, cov) for cov in covs])
+    inside = np.array([map_membership_oracle(xy, cov) for cov in covs])
     members = [np.flatnonzero(row) for row in inside]
     centers = np.array([cov.center for cov in covs])
     table = _jump_table(covs)

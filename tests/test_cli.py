@@ -41,6 +41,19 @@ class TestGenerate:
                     "--depth", 400, "--start", "50,50", "--goal", "350,350"]) == 0
         assert len(load_scenario(out).base_stations) == 1
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--rayleigh-scale", "nan", "rayleigh scale"),
+        ("--rayleigh-scale", "inf", "rayleigh scale"),
+        ("--width", "inf", "width"),
+        ("--depth", "nan", "depth"),
+        ("--block-size", "inf", "block size"),
+    ])
+    def test_non_finite_city_setting_exits_1(self, tmp_path, capsys, flag, value, setting):
+        out = tmp_path / "scn.json"
+        assert run(["generate", "--out", out, flag, value]) == 1
+        assert f"error: {setting} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_identical_file(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -146,6 +159,17 @@ class TestMonteCarlo:
                 [c for i, c in enumerate(row) if i != wall_idx] for row in parsed
             ])
         assert rows[0] == rows[1]
+
+    def test_summary_records_angular_step(self, tmp_path, open_field_file):
+        steps = []
+        for deg in ("0.5", "0.25"):
+            out_dir = tmp_path / deg
+            assert run(["montecarlo", "--scenario", open_field_file, "--out-dir", out_dir,
+                        "--trials", 1, "--planners", "straight,base",
+                        "--angular-step-deg", deg]) == 0
+            summary = json.loads((out_dir / "summary.json").read_text())
+            steps.append(summary["config"]["angular_step_deg"])
+        assert steps == [0.5, 0.25]
 
     def test_row_count(self, tmp_path, open_field_file):
         out_dir = tmp_path / "mc"

@@ -31,6 +31,7 @@ from conftest import (
     certified_radii_oracle,
     dense_network_covered,
     direct_snr_max,
+    map_membership_oracle,
     march_coverage_radius,
     open_field_scenario,
     pairwise_common_borders,
@@ -957,14 +958,19 @@ class TestBatchedCommonBorders:
         self._check(*build_all_coverage(scn))
 
     @pytest.mark.parametrize("seed", [100, 101, 102])
-    def test_default_city(self, seed):
+    def test_default_city(self, seed, k=25):
         from skypath.scenario import build_default_scenario, place_base_stations
 
-        base = build_default_scenario(seed=1, k=25)
-        stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=seed)
+        base = build_default_scenario(seed=1, k=k)
+        stations = place_base_stations(base.city, k=k, h_g=base.radio.bs_height, seed=seed)
         maps, commons = build_all_coverage(base.with_base_stations(stations))
         assert commons
         self._check(maps, commons)
+
+    @pytest.mark.parametrize("k", [50, 100])
+    @pytest.mark.parametrize("seed", [100, 101, 102, 103])
+    def test_default_city_more_stations(self, seed, k):
+        self.test_default_city(seed, k)
 
     def test_pairs_keep_argument_order(self, params, empty_city):
         a = build_coverage_map(BaseStation(9, Point3(900, 1000, 20.0)), empty_city, params)
@@ -983,6 +989,97 @@ class TestBatchedCommonBorders:
         # a map with no border points still holds the other map's points at its apex
         cb = common_border_points(a, flat)
         assert_bitwise(cb.points, a.border_points[points_in_coverage(a.border_points, flat)])
+
+
+def _cut_map(s, gap, center):
+    """A map around ``center`` whose wedges start at 0, at azimuth s, 3e-9 rad
+    on (a sliver narrower than the angular slack, followed by the widest
+    wedge) and 2 and 4 rad on; with ``gap`` the wedge ending at s is left out."""
+    radius = {s: 40.0, (s + 3e-9) % TAU: 80.0, (s + 2.0) % TAU: 55.0, (s + 4.0) % TAU: 60.0}
+    cuts = sorted({0.0, TAU, *radius})
+    starts, ends = cuts[:-1], cuts[1:]
+    radii = [radius.get(a, 45.0) for a in starts]
+    if gap and s > 0.0:
+        i = starts.index(s) - 1
+        del starts[i], ends[i], radii[i]
+    return _wedge_map(starts, ends, radii, center=center)
+
+
+class TestStackedMembership:
+    """The (point, map) row kernel against the one-map oracle, bit for bit."""
+
+    CENTER = (1000.0, 1000.0)
+
+    @staticmethod
+    def _check(xy, maps, point, which):
+        got = points_in_coverage(xy, maps, point, which)
+        want = [bool(map_membership_oracle(xy[p], maps[m])[0]) for p, m in zip(point, which)]
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_azimuths_at_and_near_wedge_starts(self):
+        rng = np.random.default_rng(17)
+        c = np.array(self.CENTER)
+        theta, r = np.meshgrid(
+            np.concatenate([rng.uniform(0.0, TAU, 6), [0.0, 1e-9, -1e-9, math.pi, -math.pi / 2]]),
+            [30.0, 40.0 + 5e-7, 55.0, 60.0 + 1e-6, 80.0 - 1e-7, 90.0])
+        theta, r = theta.ravel(), r.ravel()
+        xy = c + r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        az = np.arctan2(xy[:, 1] - c[1], xy[:, 0] - c[0])
+        az = np.where(az < 0.0, az + TAU, az)  # as the kernel measures them
+        maps, point, which = [], [], []
+        for i, a in enumerate(az.tolist()):
+            for k in range(-4, 5):
+                s = min(max(_ulp_steps(a, k), 0.0), math.nextafter(TAU, 0.0))
+                for gap in (False, True):
+                    point.append(i)
+                    which.append(len(maps))
+                    maps.append(_cut_map(s, gap, self.CENTER))
+        # every point against a few other maps too, the rows shuffled and some repeated
+        point += rng.integers(0, xy.shape[0], 400).tolist()
+        which += rng.integers(0, len(maps), 400).tolist()
+        order = rng.permutation(np.concatenate([np.arange(len(point)),
+                                                rng.integers(0, len(point), 50)]))
+        got = self._check(xy, maps, np.array(point)[order], np.array(which)[order])
+        assert got.any() and not got.all()
+
+    def test_apex_and_degenerate_maps(self):
+        c = np.array(self.CENTER)
+        offsets = [0.0, 0.5 * GEOM_EPS, GEOM_EPS, 1.5 * GEOM_EPS, 10.0, 59.0]
+        xy = np.concatenate([c + np.column_stack([offsets, np.zeros(6)]),
+                             c + np.column_stack([np.zeros(6), offsets[::-1]])])
+        maps = [
+            _wedge_map([1.0], [2.0], [50.0], center=self.CENTER),  # one wedge
+            _wedge_map([0.0], [math.pi], [60.0], center=self.CENTER),
+            _wedge_map([], [], [], center=self.CENTER),  # no wedges
+            _wedge_map([1.0, 2.0], [2.0, 3.0], [0.0, 0.0], center=self.CENTER),  # zero radii
+            _cut_map(0.5, True, self.CENTER),
+        ]
+        point, which = np.meshgrid(np.arange(xy.shape[0]), np.arange(len(maps)))
+        got = self._check(xy, maps, point.ravel(), which.ravel())
+        assert got.any() and not got.all()
+
+    def test_rows_in_any_order(self):
+        scn = small_city_scenario(seed=19, k=6)
+        maps, _ = build_all_coverage(scn)
+        covs = [maps[k] for k in sorted(maps)]
+        rng = np.random.default_rng(3)
+        xy = rng.uniform(0.0, 800.0, (300, 2))
+        point = rng.integers(0, 300, 3000)
+        which = rng.integers(0, len(covs), 3000)
+        got = self._check(xy, covs, point, which)
+        assert got.any() and not got.all()
+        # one map at a time, every point: the frozen one-map call
+        for cov in covs:
+            np.testing.assert_array_equal(points_in_coverage(xy, cov),
+                                          map_membership_oracle(xy, cov))
+
+    def test_no_rows(self):
+        cov = _cut_map(1.0, False, self.CENTER)
+        empty = np.zeros(0, dtype=int)
+        assert points_in_coverage(np.empty((0, 2)), cov).shape == (0,)
+        assert points_in_coverage(np.ones((3, 2)), [cov], empty, empty).shape == (0,)
+        assert points_in_coverage(np.ones((3, 2)), [], empty, empty).shape == (0,)
 
 
 def _ulp_steps(x, k):

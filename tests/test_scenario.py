@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skypath.geometry import Building
 from skypath.scenario import (
     BaseStation,
+    CityMap,
     InvalidConfigError,
     PlacementError,
     Scenario,
@@ -48,6 +50,14 @@ class TestGenerateCity:
             generate_city(width=-5)
         with pytest.raises(InvalidConfigError):
             generate_city(block_size=10.0, street_width=10.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name, setting", [("width", "width"), ("depth", "depth"),
+                                               ("block_size", "block size"),
+                                               ("rayleigh_scale", "rayleigh scale")])
+    def test_rejects_non_finite_settings(self, name, setting, value):
+        with pytest.raises(InvalidConfigError, match=f"{setting} must be finite and positive"):
+            generate_city(**{name: value})
 
     def test_streets_reserved_between_footprints(self):
         city = generate_city(width=400, depth=400, block_size=80, street_width=20, seed=3)
@@ -111,6 +121,17 @@ class TestPlaceBaseStations:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("height", [float("nan"), float("inf"), 0.0])
+    def test_building_height_must_be_finite_and_positive(self, height):
+        with pytest.raises(ValueError, match="building height must be finite and positive"):
+            Building(0.0, 10.0, 0.0, 10.0, height)
+
+    @pytest.mark.parametrize("width, depth", [(float("nan"), 100.0), (100.0, float("inf")),
+                                              (float("inf"), 100.0), (100.0, 0.0)])
+    def test_city_extent_must_be_finite_and_positive(self, width, depth):
+        with pytest.raises(InvalidConfigError, match="width and depth must be finite"):
+            CityMap(width, depth, ())
+
     def test_uav_must_fly_above_roofs(self):
         city = generate_city(width=400, depth=400, height_range=(60.0, 70.0), seed=1)
         radio = default_radio_params(uav_altitude=65.0)
@@ -195,6 +216,14 @@ class TestPersistence:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioFormatError, match="beta_los"):
+            load_scenario(path)
+
+    def test_nan_height_in_file_rejected(self, tmp_path):
+        data = scenario_to_dict(build_default_scenario(seed=1, k=2))
+        data["city"]["buildings"][3]["height"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # writes the non-standard NaN literal
+        with pytest.raises(ScenarioFormatError, match="building height"):
             load_scenario(path)
 
     def test_wrong_version_rejected(self, tmp_path):
