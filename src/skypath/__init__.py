@@ -2,21 +2,19 @@
 
 A scenario couples a procedural Manhattan-style city with base stations and a
 segmented LoS/NLoS pathloss model. Each station's coverage at the flight
-altitude becomes a union of convex circular sectors; a two-stage graph search
+altitude becomes a union of convex circular wedges; a two-stage graph search
 plans minimum-length trajectories that keep the best-station SNR above a
 threshold at every point, with a lattice planner and a straight line as
 baselines and a seeded Monte-Carlo harness for comparisons.
 """
 
 from .coverage import (
-    CommonBorder,
     CoverageMap,
     LinkState,
     build_all_coverage,
     build_coverage_map,
     common_border_points,
     coverage_disk_radius_sq,
-    discretize_border,
     network_covered,
 )
 from .evaluation import (
@@ -26,11 +24,10 @@ from .evaluation import (
     outage_fraction,
     run_monte_carlo,
     summarize_reports,
-    trajectory_length,
     write_report_csv,
     write_summary_json,
 )
-from .geometry import Building, CircularSector, Point3
+from .geometry import Building, Point3
 from .planner import (
     BaseResult,
     GridPlanResult,

@@ -2,13 +2,12 @@
 
 A station's coverage at the flight altitude is approximated by a union of
 convex circular wedges around the station's plan-view projection, held by
-``CoverageMap`` as sorted arrays of start azimuths, end azimuths and radii;
-``CircularSector`` objects are built from them only for export. Along a
-fixed azimuth, blocking is monotone: once a roof blocks the station-to-ring
-segment at radius r, it blocks at every larger radius, because the segment's
-altitude above that roof only decreases as the ring point moves out. The
-covered set along a ray is therefore a single interval [0, R]; R has the
-closed form
+``CoverageMap`` as sorted arrays of start azimuths, end azimuths and radii,
+the one form every consumer reads, the JSON dump included. Along a fixed
+azimuth, blocking is monotone: once a roof blocks the station-to-ring segment
+at radius r, it blocks at every larger radius, because the segment's altitude
+above that roof only decreases as the ring point moves out. The covered set
+along a ray is therefore a single interval [0, R]; R has the closed form
 
     R(theta) = min(r_los, max(r_nlos, first_blocking_radius(theta)))
 
@@ -24,9 +23,10 @@ extent, intersected over both axes and clamped at 0. A roof counts as
 blocking up to GEOM_EPS above its height, so grazing contact is blocked.
 
 Wedge radii are certified per azimuth cell: the infimum of R over the whole
-cell is computed exactly (entry distances at cell edges plus corner and
-perpendicular-foot critical azimuths), then shaved by a small safety margin,
-so every claimed point holds SNR >= threshold with a strictly positive margin.
+cell and the slack that membership grants past it is computed exactly (entry
+distances at cell edges plus corner and nearest-point critical azimuths, each
+within its guard), then shaved by a small safety margin, so every claimed
+point holds SNR >= threshold with a strictly positive margin.
 Point-sampled azimuths would over-claim between samples and break the
 zero-outage guarantee.
 
@@ -36,7 +36,8 @@ walk and the jumps of R each run once over the stacked arrays of all of
 them, and each map equals the one built alone, bit for bit.
 ``points_in_coverage`` answers any set of (point, map) rows in one call and
 alone applies the reach rule (no map holds a point beyond its largest radius
-plus GEOM_EPS); the common borders of all station pairs take one such call.
+plus GEOM_EPS); the common borders of all station pairs take one such call,
+and each pair's border is an (N, 2) array of points keyed by its station ids.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import GEOM_EPS, TWO_PI, CircularSector, point_sector_distance
+from .geometry import GEOM_EPS, TWO_PI
 from .scenario import BaseStation, CityMap, InvalidConfigError, RadioParams, Scenario
 
 # Angular resolution and sector post-processing defaults (0.5 degree cells).
@@ -62,8 +63,8 @@ BORDER_SAMPLES = 64
 # Claimed radii are shaved by this margin so boundary points keep a strictly
 # positive SNR margin under the grazing-counts-as-blocked rule.
 RADIUS_SAFETY = 0.01
-# Pad, in rad, on each side of a building's subtended azimuth span and of
-# each critical azimuth a certified cell must cover.
+# Pad, in rad, on each side of a building's subtended azimuth span, and the
+# least guard around each critical azimuth (``_certified_cell_radii``).
 AZIMUTH_GUARD = 1e-9
 # (azimuth, building) pairs per batch of the blocking sweep; small enough to
 # keep the batch's temporaries in cache.
@@ -348,14 +349,6 @@ class CoverageMap:
         return self.radii.size == 0
 
     @cached_property
-    def sectors(self) -> tuple[CircularSector, ...]:
-        """The wedges as ``CircularSector`` objects, for export and tests."""
-        return tuple(
-            CircularSector(self.center, s, e, r)
-            for s, e, r in zip(self.starts.tolist(), self.ends.tolist(), self.radii.tolist())
-        )
-
-    @cached_property
     def radius_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The wedge union as a step function R(theta), by its jumps.
 
@@ -372,14 +365,6 @@ class CoverageMap:
         if self.is_empty:
             return 0.0
         return float(self.radii.max())
-
-
-@dataclass(eq=False)
-class CommonBorder:
-    """Discretized border points shared by a pair of coverage areas."""
-
-    pair: tuple[int, int]
-    points: np.ndarray  # (N, 2)
 
 
 def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> np.ndarray:
@@ -440,24 +425,57 @@ def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> n
 
 
 def distance_to_coverage(p, cov: CoverageMap) -> float:
-    """Distance from p to the claimed coverage region (0 when inside)."""
+    """Distance from p to the closed wedges of ``cov``, all in one array pass:
+    0 within GEOM_EPS of the apex (for a positive radius), r - radius or 0
+    for a wedge whose span holds p's azimuth, else to its nearer radial edge.
+    """
     if cov.is_empty:
         return math.inf
-    return min(point_sector_distance(p, s) for s in cov.sectors)
+    dx, dy = p[0] - cov.center[0], p[1] - cov.center[1]
+    r = math.hypot(dx, dy)
+    if r <= GEOM_EPS:
+        return 0.0 if cov.max_radius > 0.0 else r
+    az = math.atan2(dy, dx) % TWO_PI
+    in_span = (az - cov.starts) % TWO_PI <= cov.ends - cov.starts
+    edges = np.stack([cov.starts, cov.ends])
+    ux, uy = np.cos(edges), np.sin(edges)
+    t = np.clip(dx * ux + dy * uy, 0.0, cov.radii)
+    to_edge = np.hypot(dx - t * ux, dy - t * uy).min(axis=0)
+    return float(np.where(in_span, np.maximum(r - cov.radii, 0.0), to_edge).min())
 
 
 def _certified_cell_radii(centers, city: CityMap, params: RadioParams, n_cells: int) -> np.ndarray:
-    """Infimum of the azimuth coverage radius over each angular cell, one row
-    per station of ``centers`` (K, 2).
+    """Infimum of the azimuth coverage radius over each angular cell and the
+    slack past its edges, one row per station of ``centers`` (K, 2).
 
     Along one azimuth the first blocking radius of building b is
-    factor_b * t0_b(theta) with t0 the ray entry distance into the footprint.
-    t0 is quasiconvex on the azimuth span that hits the footprint, so its
-    infimum over a cell sits at a cell edge, a footprint corner azimuth, or
-    the nearest-point azimuth; all are evaluated exactly. Rounding is
-    monotone, so fl(f * min(x, y)) = min(fl(f * x), fl(f * y)): taking the
-    minimum over a cell's edges and critical azimuths after scaling by the
-    factor gives the same bits as taking it before.
+    factor_b * t0_b(theta), with t0 the ray's entry distance into the
+    footprint. Over an azimuth interval t0 is least at an end, a footprint
+    corner or the nearest point (the critical points, at distance crit_d), so
+    a cell takes its edges' values and those of the critical points near it:
+    one at distance d counts for every cell within g(d) = max(AZIMUTH_GUARD,
+    asin(GEOM_EPS / d)) rad of it, or every cell when d <= GEOM_EPS. Rounding
+    is monotone, so scaling by the factor before or after the minimum gives
+    the same bits.
+
+    Why the slack is safe: ``points_in_coverage`` claims p = (r, phi) up to
+    GEOM_EPS / r rad past a wedge's edge e (a cell edge, unless the next
+    wedge, of equal radius, covers phi), ``_jumps_clear`` up to GEOM_EPS from
+    e's ray: delta = phi - e <= asin(GEOM_EPS / r), r <= cert_c -
+    RADIUS_SAFETY + GEOM_EPS for the wedge's cell c at e, and r > r_nlos, or p
+    is covered. Let building b block p, entering at q: factor * |q| <= r.
+    Points x between the rays e and phi with |x| <= |q| lie within |q|
+    sin(delta) <= GEOM_EPS of e's line, so within g(|x|) of e. Take x*, the
+    nearest such point of the footprint. (a) On e's ray, c's edge value is <=
+    factor * |x*| <= r. (b) A critical point counts for c with value <= r. (c)
+    Else x* = q lies inside a face L. If L is parallel to e, it passes within
+    GEOM_EPS of the station, and its foot or the corner toward it is a
+    case-(b) point. Else L meets e's ray at gamma >= pi / (2 n_cells), faces
+    being axis-aligned; along L toward e, e's ray or a corner comes within |q|
+    (1 + delta cot gamma) of the station, within GEOM_EPS of e's line, so
+    cert_c <= r + n_cells * GEOM_EPS. Each case contradicts the bound on r
+    while n_cells < (RADIUS_SAFETY - GEOM_EPS) / GEOM_EPS, about 10^4 (720 by
+    default). Rounded azimuths are off by ulps, far inside AZIMUTH_GUARD.
     """
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
     k = centers.shape[0]
@@ -471,12 +489,18 @@ def _certified_cell_radii(centers, city: CityMap, params: RadioParams, n_cells: 
     first_block = np.minimum(at_edges[:, :-1], at_edges[:, 1:])
 
     step = TWO_PI / n_cells
-    rows = np.tile(blk.station, 5)
     crit_az = blk.crit_az.ravel()
-    crit_block = (blk.factor * blk.crit_d).ravel()
-    for shift in (-AZIMUTH_GUARD, 0.0, AZIMUTH_GUARD):
-        cells = np.floor((crit_az + shift) / step).astype(int) % n_cells
-        np.minimum.at(first_block, (rows, cells), crit_block)
+    crit_d = blk.crit_d.ravel()
+    guard = np.full(crit_d.size, math.pi)
+    far = crit_d > GEOM_EPS
+    guard[far] = np.maximum(AZIMUTH_GUARD, np.arcsin(GEOM_EPS / crit_d[far]))
+    # the cells [i * step, (i + 1) * step] that [az - guard, az + guard] meets
+    first = np.ceil((crit_az - guard) / step).astype(int) - 1
+    count = np.minimum(np.floor((crit_az + guard) / step).astype(int) - first + 1, n_cells)
+    cells = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    rows = np.repeat(np.tile(blk.station, 5), count)
+    crit_block = np.repeat((blk.factor * blk.crit_d).ravel(), count)
+    np.minimum.at(first_block, (rows, cells % n_cells), crit_block)
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
 
 
@@ -725,14 +749,8 @@ def _border_points(centers, starts: np.ndarray, ends: np.ndarray, radii: np.ndar
     return points, np.bincount(at, minlength=k)
 
 
-def discretize_border(cov: CoverageMap, q: int) -> CoverageMap:
-    """The map with q border points placed uniformly by arc length along its perimeter."""
-    points, _ = _border_points(cov.center, cov.starts, cov.ends, cov.radii, [cov.radii.size], q)
-    return replace(cov, border_points=points)
-
-
-def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], CommonBorder]:
-    """Common borders of every overlapping pair of maps, keyed by station ids.
+def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], np.ndarray]:
+    """Common borders of every overlapping pair of maps: (N, 2) point arrays keyed by station ids.
 
     The pair (maps[i], maps[j]), i < j, keeps the border points of maps[i]
     inside maps[j], then those of maps[j] inside maps[i]; pairs that share no
@@ -760,18 +778,15 @@ def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], CommonBord
     pair = np.repeat(np.arange(i.size), sizes[0::2] + sizes[1::2])[hit]
     kept = np.bincount(pair, minlength=i.size)
     some = kept > 0
-    commons = {}
-    for a, b, points in zip(i[some].tolist(), j[some].tolist(),
-                            np.split(border[point[hit]], np.cumsum(kept[some])[:-1])):
-        key = (maps[a].bs_id, maps[b].bs_id)
-        commons[key] = CommonBorder(key, points)
-    return commons
+    return {(maps[a].bs_id, maps[b].bs_id): points
+            for a, b, points in zip(i[some].tolist(), j[some].tolist(),
+                                    np.split(border[point[hit]], np.cumsum(kept[some])[:-1]))}
 
 
-def common_border_points(cov_a: CoverageMap, cov_b: CoverageMap) -> CommonBorder:
-    """Border points of either map that fall inside the other map's coverage."""
-    pair = (cov_a.bs_id, cov_b.bs_id)
-    return _common_borders([cov_a, cov_b]).get(pair, CommonBorder(pair, np.empty((0, 2))))
+def common_border_points(cov_a: CoverageMap, cov_b: CoverageMap) -> np.ndarray:
+    """Border points of either map that fall inside the other map's coverage,
+    those of ``cov_a`` first, as an (N, 2) array."""
+    return _common_borders([cov_a, cov_b]).get((cov_a.bs_id, cov_b.bs_id), np.empty((0, 2)))
 
 
 def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
@@ -790,21 +805,12 @@ def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
 
 
 def save_coverage_dump(maps: dict[int, CoverageMap], path: str | Path) -> None:
-    """Write per-station sectors and border points as JSON, for plotting."""
+    """Write per-station wedges ("sectors") and border points as JSON, for plotting."""
     payload = [
-        {
-            "bs_id": cov.bs_id,
-            "center": list(cov.center),
-            "sectors": [
-                {
-                    "theta_start": s.theta_start,
-                    "theta_end": s.theta_end,
-                    "radius": s.radius,
-                }
-                for s in cov.sectors
-            ],
-            "border_points": cov.border_points.tolist(),
-        }
+        {"bs_id": cov.bs_id, "center": list(cov.center),
+         "sectors": [{"theta_start": s, "theta_end": e, "radius": r}
+                     for s, e, r in zip(*(a.tolist() for a in (cov.starts, cov.ends, cov.radii)))],
+         "border_points": cov.border_points.tolist()}
         for _, cov in sorted(maps.items())
     ]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

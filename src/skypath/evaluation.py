@@ -44,9 +44,11 @@ DEFAULT_PLANNERS = ("straight", "base", "optimized")
 CSV_COLUMNS = ("seed", "planner", "length_m", "outage", "nodes", "edges", "wall_ms")
 
 
-def trajectory_length(t: Trajectory) -> float:
-    """Total length: sum of consecutive waypoint distances."""
-    return t.length
+def _check_planners(planners) -> None:
+    """Raises ValueError when ``planners`` names a planner not in PLANNER_ORDER."""
+    unknown = set(planners) - set(PLANNER_ORDER)
+    if unknown:
+        raise ValueError(f"unknown planners: {sorted(unknown)}")
 
 
 def sample_polyline(points_xy: np.ndarray, step: float) -> np.ndarray:
@@ -116,9 +118,7 @@ class MonteCarloConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.jobs < 1:
             raise ValueError(f"need at least one job, got {self.jobs}")
-        unknown = set(self.planners) - set(PLANNER_ORDER)
-        if unknown:
-            raise ValueError(f"unknown planners: {sorted(unknown)}")
+        _check_planners(self.planners)
         check_map_settings(self.angular_step, self.border_samples)
         if not 0.0 < self.grid_step < math.inf:
             raise InvalidConfigError(f"grid step must be finite and positive: {self.grid_step}")
@@ -172,7 +172,8 @@ def evaluate_planners(
 
     Returns (reports, trajectories). Wall times are cumulative over the
     stages a planner needs: the optimized planner's time includes coverage
-    construction and the base stage it refines.
+    construction and the base stage it refines. Raises ValueError for an
+    unknown planner name.
 
     The graph planners skip work that cannot change their answer. The maps
     come in three ``build_coverage_maps`` batches, none rebuilding a station:
@@ -186,6 +187,7 @@ def evaluate_planners(
     count the refined graph, not the sequence-free A* search, which prunes
     its points to those that could beat the refined path.
     """
+    _check_planners(planners)
     wanted = [p for p in PLANNER_ORDER if p in planners]
     reports: list[PlannerReport] = []
     trajectories: dict[str, Trajectory | None] = {}

@@ -2,7 +2,7 @@
 
 The feasibility stage connects the mission endpoints through station
 projections and discretized common-border points; every edge of that graph is
-coverage-safe by construction (sectors are wedges around the projection, so
+coverage-safe by construction (the wedges share the projection as apex, so
 the union is star-shaped about it). Its shortest path is found by a Dijkstra
 over the stations that gives the full graph's path, without building the
 graph. The refinement stage rebuilds a graph restricted to the stations the
@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .coverage import CommonBorder, CoverageMap, network_covered, points_in_coverage
+from .coverage import CoverageMap, network_covered, points_in_coverage
 from .geometry import GEOM_EPS, TWO_PI, Point3
 from .scenario import InvalidConfigError, Mission, Scenario
 
@@ -203,7 +203,7 @@ def shortest_path(graph: PlanGraph, src: int, dst: int) -> list[int] | None:
 def build_feasibility_graph(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
 ) -> PlanGraph:
     """Endpoints + station projections + all common-border points.
 
@@ -215,8 +215,8 @@ def build_feasibility_graph(
     ids = sorted(maps)
     start_cover, goal_cover = _endpoint_covers(mission, ids, maps)
     pairs = sorted(commons)
-    sizes = [commons[pair].points.shape[0] for pair in pairs]
-    xy = _node_table(mission, [maps[k].center for k in ids], [commons[pair].points for pair in pairs])
+    sizes = [commons[pair].shape[0] for pair in pairs]
+    xy = _node_table(mission, [maps[k].center for k in ids], [commons[pair] for pair in pairs])
     goal = xy.shape[0] - 1
     # node 1 + i is the projection of station ids[i]; each border point links
     # to its pair's two projections in turn
@@ -230,7 +230,7 @@ def build_feasibility_graph(
 
 def feasibility_graph_size(
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
     start_cover: int,
     goal_cover: int,
 ) -> tuple[int, int]:
@@ -238,7 +238,7 @@ def feasibility_graph_size(
 
     ``start_cover`` and ``goal_cover`` count the maps that hold each endpoint.
     """
-    border = sum(cb.points.shape[0] for cb in commons.values())
+    border = sum(points.shape[0] for points in commons.values())
     return 2 + len(maps) + border, start_cover + 2 * border + goal_cover
 
 
@@ -260,7 +260,7 @@ def _endpoint_covers(mission: Mission, ids: list[int], maps: dict[int, CoverageM
 def base_trajectory(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
     graph: PlanGraph | None = None,
 ) -> BaseResult | None:
     """Shortest path in the feasibility graph, or None when disconnected.
@@ -284,8 +284,8 @@ def base_trajectory(
     goal = len(ids)  # the goal's heap index follows every station's, as its node id does
     # the border points as the graph numbers them, pair by pair in sorted order
     pairs = sorted(commons)
-    sizes = [commons[pair].points.shape[0] for pair in pairs]
-    points = np.vstack([commons[pair].points for pair in pairs]) if pairs else np.empty((0, 2))
+    sizes = [commons[pair].shape[0] for pair in pairs]
+    points = np.vstack([commons[pair] for pair in pairs]) if pairs else np.empty((0, 2))
     owner = np.searchsorted(ids, np.repeat(np.reshape(pairs, (-1, 2)), sizes, axis=0))
     # |c p| from each of the pair's stations, as the graph's edge weights are
     spoke = [np.array(_lengths(np.array(centers)[owner[:, side]] - points)) for side in (0, 1)]
@@ -490,7 +490,7 @@ def _segments_clear(xy: np.ndarray, members: _Members, u: np.ndarray, v: np.ndar
 
 
 def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np.ndarray:
-    """Batched exact test: does segment p0[i]-p1[i] lie in the sector union?
+    """Batched exact test: does segment p0[i]-p1[i] lie in the wedge union?
 
     The union is {r <= R(theta)} around the station projection, with R the
     step function ``CoverageMap.radius_steps``; a segment lies in it iff both
@@ -505,7 +505,7 @@ def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np
 
 
 def line_in_coverage(x, y, cov: CoverageMap) -> bool:
-    """True iff the whole segment xy lies in the sector union of one map."""
+    """True iff the whole segment xy lies in the wedge union of one map."""
     return bool(segments_in_coverage(x, y, cov)[0])
 
 
@@ -513,7 +513,7 @@ def build_refined_graph(
     base: BaseResult,
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
 ) -> PlanGraph:
     """Graph over the base path's stations and their consecutive common borders.
 
@@ -527,7 +527,7 @@ def build_refined_graph(
     order = base.visit_indices
     kprime = len(order)
     pairs = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:])]
-    borders = [commons[pair].points if pair in commons else np.empty((0, 2)) for pair in pairs]
+    borders = [commons.get(pair, np.empty((0, 2))) for pair in pairs]
     xy = _node_table(scenario.mission, [maps[k].center for k in order], borders)
     n = xy.shape[0]
     # the border points between visits j and j + 1 (projections 1 + j and
@@ -559,7 +559,7 @@ def build_refined_graph(
 def _free_search(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
     bound: float,
 ) -> np.ndarray | None:
     """Exact A* over the refinement's points, free of any station sequence.
@@ -580,7 +580,7 @@ def _free_search(
     """
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
-    borders = [commons[pair].points for pair in sorted(commons)]
+    borders = [commons[pair] for pair in sorted(commons)]
     xy = _node_table(mission, [maps[k].center for k in stations],
                      [np.unique(np.vstack(borders), axis=0)] if borders else [])
     to_goal = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
@@ -637,7 +637,7 @@ def optimize_trajectory(
     base: BaseResult,
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], CommonBorder],
+    commons: dict[tuple[int, int], np.ndarray],
     graph: PlanGraph | None = None,
 ) -> Trajectory:
     """Shortest certified path over the refinement's points.

@@ -3,8 +3,8 @@
 The reference models are written out here so that the code they check shares
 no kernel with them: the explicit SNR model, a generic per-segment slab test
 for roof blocking, sector membership over every sector at once, one-map
-wedge membership, and brute force or unbatched copies of the planner's
-searches and map building.
+wedge membership, the distance to a map wedge by wedge, and brute force or
+unbatched copies of the planner's searches and map building.
 """
 
 import math
@@ -214,6 +214,35 @@ def map_membership_oracle(points_xy, cov) -> np.ndarray:
     return inside
 
 
+def map_distance_oracle(p, cov) -> float:
+    """Reference for ``coverage.distance_to_coverage``: the distance from p to
+    each closed wedge of one map, one wedge at a time, and their minimum.
+
+    Within GEOM_EPS of the apex a wedge of positive radius is at 0; a wedge
+    whose span holds p's azimuth is r - radius away, or 0; from any other
+    wedge the nearest point lies on one of its radial edges.
+    """
+    if cov.is_empty:
+        return math.inf
+    dx, dy = p[0] - cov.center[0], p[1] - cov.center[1]
+    r = math.hypot(dx, dy)
+    az = math.atan2(dy, dx)
+    if az < 0.0:
+        az += TWO_PI
+    best = math.inf
+    for start, end, radius in zip(cov.starts.tolist(), cov.ends.tolist(), cov.radii.tolist()):
+        if r <= GEOM_EPS:
+            best = min(best, 0.0 if radius > 0.0 else r)
+        elif (az - start) % TWO_PI <= end - start:
+            best = min(best, max(0.0, r - radius))
+        else:
+            for ang in (start, end):
+                ux, uy = math.cos(ang), math.sin(ang)
+                t = max(0.0, min(radius, dx * ux + dy * uy))
+                best = min(best, math.hypot(dx - t * ux, dy - t * uy))
+    return best
+
+
 def assert_edges_covered(graph, scenario, step=0.5) -> None:
     """Sample every graph edge at most ``step`` apart and assert the best
     station meets the SNR threshold at each sample, by ``direct_snr_max``."""
@@ -245,8 +274,6 @@ def line_check_tie(a, b, cov, step=0.5) -> bool:
     Ties: the uncovered excursion found at 4x finer sampling is shallower than
     the geometric tolerance scale or shorter than the oracle step.
     """
-    from skypath.coverage import distance_to_coverage
-
     length = math.hypot(b[0] - a[0], b[1] - a[1])
     n = max(2, int(math.ceil(length / step)) + 1)
     lam = np.linspace(0.0, 1.0, 4 * n)
@@ -254,7 +281,7 @@ def line_check_tie(a, b, cov, step=0.5) -> bool:
     outside = ~map_membership_oracle(pts, cov)
     if not outside.any():
         return True  # excursion below even 4x oracle resolution
-    depth = max(distance_to_coverage(p, cov) for p in pts[outside])
+    depth = max(map_distance_oracle(p, cov) for p in pts[outside])
     return depth < 1e-5 or outside.sum() * (length / (4 * n)) < step
 
 
@@ -314,7 +341,7 @@ def _boundary_items_oracle(cov):
 
 
 def border_walk_oracle(cov, q: int) -> np.ndarray:
-    """Reference for ``coverage.discretize_border``: q points spaced uniformly
+    """Reference for ``coverage._border_points``: q points spaced uniformly
     by arc length, placed by walking the boundary items one at a time."""
     if cov.is_empty:
         return np.empty((0, 2))
@@ -398,7 +425,8 @@ def ray_rect_entry_oracle(ox, oy, ux, uy, x0, x1, y0, y1):
 
 def certified_radii_oracle(center, city, params, n_cells):
     """Reference for ``coverage._certified_cell_radii``: a dense cell-edge x
-    building matrix of ray entry distances, every building at every edge.
+    building matrix of ray entry distances, every building at every edge,
+    and each critical point's distance in every cell within its guard.
 
     Each building's factor is climb / (roof + GEOM_EPS - h_g), without a floor
     of 1, which differs only for roofs within GEOM_EPS of the flight altitude.
@@ -446,13 +474,17 @@ def certified_radii_oracle(center, city, params, n_cells):
     crit_az = np.where(crit_az < 0.0, crit_az + two_pi, crit_az)
     crit_d = np.hypot(crit_x, crit_y)
 
-    b_idx = np.broadcast_to(np.arange(nb), crit_az.shape).ravel()
-    az_flat = crit_az.ravel()
-    d_flat = crit_d.ravel()
-    guard = 1e-9
-    for shift in (-guard, 0.0, guard):
-        cells = np.floor((az_flat + shift) / step).astype(int) % n_cells
-        np.minimum.at(cell_min, (cells, b_idx), d_flat)
+    # A critical point at distance d counts for every closed cell within
+    # max(1e-9, asin(GEOM_EPS / d)) rad of its azimuth, and for every cell
+    # when d <= GEOM_EPS.
+    with np.errstate(divide="ignore"):
+        guard = np.where(crit_d > GEOM_EPS,
+                         np.maximum(1e-9, np.arcsin(np.minimum(GEOM_EPS / crit_d, 1.0))), math.pi)
+    for az, d, g in zip(crit_az, crit_d, guard):  # one row of (5, nb) at a time
+        past_start = (az[None, :] - edges[:-1, None]) % two_pi  # (n_cells, nb)
+        off = np.where(past_start <= step, 0.0,
+                       np.minimum(past_start - step, two_pi - past_start))
+        cell_min = np.minimum(cell_min, np.where(off <= g[None, :], d[None, :], np.inf))
 
     first_block = (factor[None, :] * cell_min).min(axis=1)
     return np.minimum(r_los, np.maximum(r_nlos, first_block))
@@ -476,7 +508,7 @@ def free_search_oracle(scenario, maps, commons, bound):
 
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
-    borders = [commons[pair].points for pair in sorted(commons)]
+    borders = [commons[pair] for pair in sorted(commons)]
     xy = np.vstack([
         [mission.start.xy],
         [maps[k].center for k in stations],
@@ -546,7 +578,7 @@ def refined_graph_oracle(base, scenario, maps, commons):
     slots = []
     for a, b in zip(order, order[1:]):
         pair = (min(a, b), max(a, b))
-        pts = commons[pair].points.tolist() if pair in commons else []
+        pts = commons[pair].tolist() if pair in commons else []
         slots.append(list(range(len(nodes), len(nodes) + len(pts))))
         nodes.extend(tuple(p) for p in pts)
     goal = len(nodes)

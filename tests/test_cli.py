@@ -4,6 +4,7 @@ import json
 import pytest
 
 from skypath.cli import main
+from skypath.coverage import build_all_coverage
 from skypath.scenario import load_scenario, save_scenario
 
 from conftest import open_field_scenario
@@ -111,6 +112,16 @@ class TestPlan:
         data = json.loads(dump.read_text())
         assert {entry["bs_id"] for entry in data} == {1, 2}
         assert all("sectors" in e and "border_points" in e for e in data)
+        maps, _ = build_all_coverage(load_scenario(open_field_file))
+        assert [e["bs_id"] for e in data] == sorted(maps)
+        for entry in data:
+            cov = maps[entry["bs_id"]]
+            assert entry["center"] == list(cov.center)
+            wedges = entry["sectors"]
+            assert [w["theta_start"] for w in wedges] == cov.starts.tolist()
+            assert [w["theta_end"] for w in wedges] == cov.ends.tolist()
+            assert [w["radius"] for w in wedges] == cov.radii.tolist()
+            assert entry["border_points"] == cov.border_points.tolist()
 
     def test_malformed_scenario_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,6 +10,7 @@ from skypath.coverage import (
     RADIUS_SAFETY,
     LinkState,
     _blockers,
+    _border_points,
     _cells_to_wedges,
     _certified_cell_radii,
     _first_blocking_radius,
@@ -18,6 +19,7 @@ from skypath.coverage import (
     build_coverage_maps,
     common_border_points,
     coverage_disk_radius_sq,
+    distance_to_coverage,
     fan_blocked,
     network_covered,
     points_in_coverage,
@@ -31,6 +33,7 @@ from conftest import (
     certified_radii_oracle,
     dense_network_covered,
     direct_snr_max,
+    map_distance_oracle,
     map_membership_oracle,
     march_coverage_radius,
     open_field_scenario,
@@ -170,6 +173,18 @@ CERTIFIED_LAYOUTS = {
         Building(1200.0, 1260.0, 1000.0, 1050.0, 65.0),
     ),
     "station inside a footprint": (Building(980.0, 1010.0, 990.0, 1040.0, 50.0),),
+    # a corner 150 m out, 2e-9 rad past the edge between cells 36 and 37
+    "corner just past a cell edge": (
+        Building(1000.0 + 150.0 * math.cos(37 * math.pi / 360 + 2e-9) - 20.0,
+                 1000.0 + 150.0 * math.cos(37 * math.pi / 360 + 2e-9),
+                 1000.0 + 150.0 * math.sin(37 * math.pi / 360 + 2e-9),
+                 1000.0 + 150.0 * math.sin(37 * math.pi / 360 + 2e-9) + 20.0, 70.0),
+    ),
+    # guards of 0.07 rad and pi: many cells per critical point
+    "corner 14 um from the station": (
+        Building(1000.0 + 1e-5, 1050.0, 1000.0 + 1e-5, 1040.0, 50.0),
+    ),
+    "face 0.8 um from the station": (Building(950.0, 1900.0, 1000.0 + 8e-7, 1020.0, 70.0),),
 }
 
 
@@ -262,13 +277,7 @@ class TestCertifiedRadii:
                                    blk.x0, blk.x1, blk.y0, blk.y1)
         assert_bitwise(_first_blocking_radius(az, blk), (blk.factor * t0).min(axis=1))
 
-    @pytest.mark.parametrize("delta", [
-        5e-10,
-        pytest.param(2e-9, marks=pytest.mark.xfail(strict=True, reason=(
-            "membership grants GEOM_EPS/r rad of slack past a wedge edge, while a"
-            " cell is certified only 1e-9 rad past its critical azimuths"))),
-        5e-9,
-    ])
+    @pytest.mark.parametrize("delta", [5e-10, 2e-9, 5e-9])
     def test_claimed_probes_past_a_cell_edge_meet_threshold(self, delta, params):
         # A 20 x 20 x 70 m building whose (x1, y0) corner lies 150 m out at
         # azimuth e + delta, just past the edge e between cells 36 and 37.
@@ -288,26 +297,70 @@ class TestCertifiedRadii:
         below = snr_per_station(pts, bs_c, params, city) < params.snr_threshold
         assert not (claimed & below).any()
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(cell=st.integers(0, 719), side=st.sampled_from([-1.0, 1.0]),
+           offset=st.floats(0.0, 2.0), dist=st.floats(60.0, 300.0),
+           width=st.floats(2.0, 60.0), depth=st.floats(2.0, 60.0),
+           height=st.floats(21.0, 100.0))
+    def test_claimed_probes_in_the_slack_meet_threshold(self, cell, side, offset, dist, width,
+                                                        depth, height, params):
+        # A building corner sits dist m out at azimuth e + side * delta, for a
+        # cell edge e and delta = offset * GEOM_EPS / dist, with the footprint
+        # on the far side of the corner's ray. Probes out to R_LOS within
+        # GEOM_EPS / r rad of e on the corner's side sit in the slack that
+        # membership grants past the edge of the wedge before the building.
+        edge = np.linspace(0.0, 2 * math.pi, 721)[cell]
+        az = edge + side * offset * GEOM_EPS / dist
+        cx, cy = 1000.0 + dist * math.cos(az), 1000.0 + dist * math.sin(az)
+        # the footprint runs from the corner along -side * (sin az, -cos az)
+        sx, sy = -side * math.sin(az), side * math.cos(az)
+        x0, x1 = (cx, cx + width) if sx > 0 else (cx - width, cx)
+        y0, y1 = (cy, cy + depth) if sy > 0 else (cy - depth, cy)
+        city = CityMap(2000, 2000, (Building(x0, x1, y0, y1, height),))
+        bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
+        cov = build_coverage_map(bs_c, city, params)
+        r, frac = np.meshgrid(np.linspace(R_NLOS, R_LOS, 33), np.linspace(0.0, 1.0, 17))
+        theta = edge + side * frac * GEOM_EPS / r
+        pts = np.column_stack([(1000.0 + r * np.cos(theta)).ravel(),
+                               (1000.0 + r * np.sin(theta)).ravel()])
+        claimed = points_in_coverage(pts, cov)
+        below = snr_per_station(pts, bs_c, params, city) < params.snr_threshold
+        assert not (claimed & below).any()
+
+    def test_station_within_geom_eps_of_a_face_keeps_the_nlos_disk(self, params):
+        # The station lies 0.8 um below a long face of a tall building. Rays
+        # just above azimuth 0 graze that face and are blocked 400 m out,
+        # inside the slack past the wedge that ends at 2*pi.
+        y0 = 1000.0 + 8e-7
+        city = CityMap(2000, 2000, (Building(950.0, 1900.0, y0, 1020.0, 70.0),))
+        bs_c = BaseStation(id=1, position=Point3(1000.0, 1000.0, params.bs_height))
+        cov = build_coverage_map(bs_c, city, params)
+        assert cov.max_radius <= R_NLOS
+        r = np.linspace(R_NLOS, R_LOS, 200)
+        theta = 0.99 * GEOM_EPS / r
+        pts = np.column_stack([1000.0 + r * np.cos(theta), 1000.0 + r * np.sin(theta)])
+        below = snr_per_station(pts, bs_c, params, city) < params.snr_threshold
+        assert below.any()
+        assert not (points_in_coverage(pts, cov) & below).any()
+
 
 class TestBuildCoverageMap:
     def test_open_field_full_disk(self, params, empty_city, bs):
         cov = build_coverage_map(bs, empty_city, params)
-        assert len(cov.sectors) >= 2  # the <= pi rule forces a split
-        spans = sum(s.span for s in cov.sectors)
-        assert spans == pytest.approx(2 * math.pi, abs=1e-9)
-        for s in cov.sectors:
-            assert s.radius == pytest.approx(R_LOS - RADIUS_SAFETY, abs=1e-9)
-            assert s.span <= math.pi + 1e-12
+        assert cov.radii.size >= 2  # the <= pi rule forces a split
+        spans = cov.ends - cov.starts
+        assert spans.sum() == pytest.approx(2 * math.pi, abs=1e-9)
+        np.testing.assert_allclose(cov.radii, R_LOS - RADIUS_SAFETY, rtol=0, atol=1e-9)
+        assert (spans <= math.pi + 1e-12).all()
 
     def test_sector_invariants_on_real_city(self, params):
         scn = small_city_scenario(seed=11, k=4)
         for bs_c in scn.base_stations:
             cov = build_coverage_map(bs_c, scn.city, params)
-            ordered = sorted(cov.sectors, key=lambda s: s.theta_start)
-            for a, b in zip(ordered, ordered[1:]):
-                assert a.theta_end <= b.theta_start + 1e-12  # non-overlapping
-            for s in cov.sectors:
-                assert 0 < s.span <= math.pi + 1e-12
+            assert (np.diff(cov.starts) > 0.0).all()
+            assert (cov.ends[:-1] <= cov.starts[1:] + 1e-12).all()  # non-overlapping
+            spans = cov.ends - cov.starts
+            assert ((spans > 0.0) & (spans <= math.pi + 1e-12)).all()
 
     def test_ringed_station_radii_bounded(self, params):
         walls = (
@@ -376,20 +429,19 @@ class TestBuildCoverageMap:
         scn = small_city_scenario(seed=17, k=2)
         rng = np.random.default_rng(9)
         cov = build_coverage_map(scn.base_stations[0], scn.city, params)
-        sectors = [s for s in cov.sectors if s.radius > 20.0][:12]
-        for sector in sectors:
+        wide = np.flatnonzero(cov.radii > 20.0)[:12]
+        for start, span, radius in zip(cov.starts[wide], (cov.ends - cov.starts)[wide],
+                                       cov.radii[wide]):
             for _ in range(20):
-                ang = sector.theta_start + rng.uniform(0, 1, 2) * sector.span
-                rad = rng.uniform(0, sector.radius, 2)
-                p = np.array([sector.center[0] + rad * np.cos(ang),
-                              sector.center[1] + rad * np.sin(ang)]).T
+                ang = start + rng.uniform(0, 1, 2) * span
+                rad = rng.uniform(0, radius, 2)
+                p = np.array([cov.center[0] + rad * np.cos(ang),
+                              cov.center[1] + rad * np.sin(ang)]).T
                 length = np.hypot(*(p[1] - p[0]))
                 lam = np.linspace(0, 1, max(3, int(length) + 1))
                 seg = np.outer(1 - lam, p[0]) + np.outer(lam, p[1])
-                starts = np.array([sector.theta_start])
-                spans = np.array([sector.span])
-                radii = np.array([sector.radius])
-                assert points_in_sectors(seg, sector.center, starts, spans, radii).all()
+                assert points_in_sectors(seg, cov.center, np.array([start]), np.array([span]),
+                                         np.array([radius])).all()
 
     def test_star_shape_border_segments_covered(self, params):
         scn = small_city_scenario(seed=19, k=2)
@@ -455,13 +507,12 @@ class TestCommonBorders:
     def test_identical_maps_share_all_points(self, params, empty_city):
         a = build_coverage_map(BaseStation(1, Point3(1000, 1000, 20.0)), empty_city, params)
         b = build_coverage_map(BaseStation(2, Point3(1000, 1000, 20.0)), empty_city, params)
-        cb = common_border_points(a, b)
-        assert cb.points.shape[0] == a.border_count + b.border_count
+        assert common_border_points(a, b).shape == (a.border_count + b.border_count, 2)
 
     def test_distant_disks_share_nothing(self, params, empty_city):
         a = build_coverage_map(BaseStation(1, Point3(200, 200, 20.0)), empty_city, params)
         b = build_coverage_map(BaseStation(2, Point3(1800, 1800, 20.0)), empty_city, params)
-        assert common_border_points(a, b).points.shape[0] == 0
+        assert common_border_points(a, b).shape == (0, 2)
 
     def test_lens_point_count_matches_circle_geometry(self, params, empty_city):
         gap = 800.0
@@ -469,19 +520,19 @@ class TestCommonBorders:
                                border_samples=256)
         b = build_coverage_map(BaseStation(2, Point3(1400, 1000, 20.0)), empty_city, params,
                                border_samples=256)
-        cb = common_border_points(a, b)
+        points = common_border_points(a, b)
         r = R_LOS - RADIUS_SAFETY
         # arc fraction of one circle inside the other: half-angle of the lens
         half_angle = math.acos(gap / (2 * r))
         expect = 2 * 256 * (half_angle / math.pi)
-        assert cb.points.shape[0] == pytest.approx(expect, abs=6)
+        assert points.shape[0] == pytest.approx(expect, abs=6)
 
     def test_all_points_pass_both_coverage_tests(self, params):
         scn = small_city_scenario(seed=31, k=4)
         maps, commons = build_all_coverage(scn)
-        for (k, j), cb in commons.items():
-            assert points_in_coverage(cb.points, maps[k]).all()
-            assert points_in_coverage(cb.points, maps[j]).all()
+        for (k, j), points in commons.items():
+            assert points_in_coverage(points, maps[k]).all()
+            assert points_in_coverage(points, maps[j]).all()
 
 
 def _fan_cases():
@@ -598,11 +649,11 @@ class TestWedgeArrays:
         rad = cov.max_radius + 5.0
         pts = [c + rng.uniform(-rad, rad, size=(3000, 2)), cov.border_points]
         offs = GEOM_EPS * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-        for s in cov.sectors:
-            for ang in (s.theta_start, s.theta_end, 0.5 * (s.theta_start + s.theta_end)):
+        for start, end, radius in zip(cov.starts.tolist(), cov.ends.tolist(), cov.radii.tolist()):
+            for ang in (start, end, 0.5 * (start + end)):
                 u = np.array([math.cos(ang), math.sin(ang)])
                 n = np.array([-u[1], u[0]])
-                radii = np.concatenate([[1e-6, 1.5e-6, 1.0, 0.5 * s.radius], s.radius + offs])
+                radii = np.concatenate([[1e-6, 1.5e-6, 1.0, 0.5 * radius], radius + offs])
                 rr, dd = np.meshgrid(radii, offs)
                 pts.append(c + rr.reshape(-1, 1) * u + dd.reshape(-1, 1) * n)
         # the apex, and both sides of the 0 / 2*pi wrap
@@ -622,10 +673,8 @@ class TestWedgeArrays:
             if cov.is_empty:
                 continue
             pts = self._probe_points(cov, rng)
-            starts = np.array([s.theta_start for s in cov.sectors])
-            spans = np.array([s.span for s in cov.sectors])
-            radii = np.array([s.radius for s in cov.sectors])
-            expected = points_in_sectors(pts, cov.center, starts, spans, radii)
+            expected = points_in_sectors(pts, cov.center, cov.starts, cov.ends - cov.starts,
+                                         cov.radii)
             np.testing.assert_array_equal(points_in_coverage(pts, cov), expected)
 
     def test_radius_steps_match_sector_lookup(self):
@@ -634,9 +683,9 @@ class TestWedgeArrays:
         theta = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 4000)
         for cov in maps.values():
             lookup = np.zeros_like(theta)
-            for s in cov.sectors:
-                held = (theta >= s.theta_start) & (theta < s.theta_end)
-                lookup = np.where(held, np.maximum(lookup, s.radius), lookup)
+            for start, end, radius in zip(cov.starts, cov.ends, cov.radii):
+                held = (theta >= start) & (theta < end)
+                lookup = np.where(held, np.maximum(lookup, radius), lookup)
             jumps, before, after = cov.radius_steps
             if jumps.size == 0:
                 assert (lookup == lookup[0]).all()
@@ -674,19 +723,70 @@ class TestWedgeArrays:
         assert before.tolist() == [0.0, 10.0, 20.0]
         assert after.tolist() == [10.0, 20.0, 0.0]
 
-    def test_building_and_planning_construct_no_sector(self, monkeypatch):
-        from skypath.geometry import CircularSector
-        from skypath.planner import base_trajectory, optimize_trajectory
 
-        def forbidden(self):
-            raise AssertionError("CircularSector constructed")
+class TestDistanceToCoverage:
+    """``distance_to_coverage`` against the wedge-by-wedge distance oracle."""
 
-        monkeypatch.setattr(CircularSector, "__post_init__", forbidden)
-        scn = small_city_scenario(seed=20, k=6)
-        maps, commons = build_all_coverage(scn)
-        base = base_trajectory(scn, maps, commons)
-        assert base is not None
-        optimize_trajectory(base, scn, maps, commons)
+    @staticmethod
+    def _check(cov, pts):
+        for p in pts:
+            got, want = distance_to_coverage(p, cov), map_distance_oracle(p, cov)
+            assert got == pytest.approx(want, rel=0.0, abs=1e-9), (p, got, want)
+
+    @staticmethod
+    def _probe_points(cov, rng):
+        """Random points, points around the apex, inside and just outside each
+        wedge, in the gaps between wedges and across the 0 / 2*pi wrap."""
+        c = np.asarray(cov.center)
+        rad = max(cov.max_radius, 1.0) * 1.5
+        pts = [c + rng.uniform(-rad, rad, size=(300, 2))]
+        ang = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+        for r in (0.0, 0.5 * GEOM_EPS, GEOM_EPS, 2 * GEOM_EPS, 1.0):
+            pts.append(c + r * np.column_stack([np.cos(ang), np.sin(ang)]))
+        mid = 0.5 * (cov.starts + cov.ends)
+        gap_mid = 0.5 * (cov.ends + np.append(cov.starts[1:], cov.starts[0] + 2 * math.pi))
+        for theta, radius in ((mid, 0.5 * cov.radii), (mid, cov.radii + 3.0),
+                              (gap_mid, 0.5 * cov.radii), (gap_mid, cov.radii + 3.0)):
+            pts.append(c + radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
+        wrap = np.array([-1e-9, 0.0, 1e-9, 1e-3, -1e-3])
+        for r in (1.0, 50.0, cov.max_radius + 1.0):
+            pts.append(c + r * np.column_stack([np.cos(wrap), np.sin(wrap)]))
+        return np.vstack(pts)
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_small_city_maps(self, seed):
+        scn = small_city_scenario(seed=seed, k=6)
+        maps, _ = build_all_coverage(scn)
+        rng = np.random.default_rng(seed)
+        for cov in maps.values():
+            if not cov.is_empty:
+                self._check(cov, self._probe_points(cov, rng))
+
+    @pytest.mark.parametrize("starts, ends, radii", [
+        ([0.5], [2.0], [100.0]),                                    # one wedge
+        ([0.2, 1.5, 4.0], [1.0, 3.0, 5.5], [30.0, 30.0, 120.0]),    # gaps
+        ([0.0, 1.5, 3.0, 4.5], [1.5, 3.0, 4.5, 2 * math.pi], [40.0, 90.0, 60.0, 90.0]),  # wraps
+        ([5.0], [2 * math.pi], [80.0]),                             # ends at 2*pi
+        ([1.0, 2.0], [2.0, 3.0], [0.0, 25.0]),                      # zero-radius wedge
+        ([1.0, 2.0], [2.0, 3.0], [0.0, 0.0]),                       # all radii zero
+    ])
+    def test_hand_built_maps(self, starts, ends, radii):
+        cov = _wedge_map(starts, ends, radii, center=(3.0, -4.0))
+        self._check(cov, self._probe_points(cov, np.random.default_rng(0)))
+
+    def test_known_distances(self):
+        cov = _wedge_map([0.0], [math.pi / 2], [10.0])
+        assert distance_to_coverage((5.0, 5.0), cov) == 0.0
+        assert distance_to_coverage((20.0, 0.0), cov) == pytest.approx(10.0)
+        assert distance_to_coverage((3.0, -4.0), cov) == pytest.approx(4.0)  # below the x edge
+        assert distance_to_coverage((-3.0, -4.0), cov) == pytest.approx(5.0)  # nearest the apex
+        flat = _wedge_map([1.0], [2.0], [0.0])
+        assert distance_to_coverage((0.5 * GEOM_EPS, 0.0), flat) == 0.5 * GEOM_EPS
+
+    def test_empty_map_is_infinitely_far(self):
+        empty = _wedge_map([], [], [])
+        assert distance_to_coverage((0.0, 0.0), empty) == math.inf
+        assert map_distance_oracle((0.0, 0.0), empty) == math.inf
 
 
 def assert_bitwise(actual, expected):
@@ -784,21 +884,18 @@ class TestBorderWalkFromArrays:
 
     @staticmethod
     def _check(cov, q):
-        from skypath.coverage import discretize_border
-
-        got = discretize_border(cov, q)
-        assert_bitwise(got.border_points.reshape(-1, 2), border_walk_oracle(cov, q))
-        assert_bitwise(got.starts, cov.starts)
-        return got.border_points
+        points, drawn = _border_points(cov.center, cov.starts, cov.ends, cov.radii,
+                                       [cov.radii.size], q)
+        assert_bitwise(points, border_walk_oracle(cov, q))
+        assert drawn.tolist() == [points.shape[0]]
+        return points
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("seed", [11, 19, 23, 29])
     def test_small_city_maps(self, seed, q):
         scn = small_city_scenario(seed=seed, k=6)
-        maps, _ = build_all_coverage(scn, border_samples=q)
-        for cov in maps.values():
+        for cov in build_coverage_maps(scn.base_stations, scn.city, scn.radio, border_samples=q):
             assert_bitwise(cov.border_points.reshape(-1, 2), border_walk_oracle(cov, q))
-            self._check(cov, q)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("starts, ends, radii", [
@@ -948,9 +1045,8 @@ class TestBatchedCommonBorders:
         expected = pairwise_common_borders(maps)
         assert list(commons) == list(expected)
         for pair, points in expected.items():
-            assert commons[pair].pair == pair
-            assert_bitwise(commons[pair].points, points)
-            assert_bitwise(common_border_points(maps[pair[0]], maps[pair[1]]).points, points)
+            assert_bitwise(commons[pair], points)
+            assert_bitwise(common_border_points(maps[pair[0]], maps[pair[1]]), points)
 
     @pytest.mark.parametrize("seed", [11, 19, 31, 100])
     def test_small_city(self, seed):
@@ -976,19 +1072,20 @@ class TestBatchedCommonBorders:
         a = build_coverage_map(BaseStation(9, Point3(900, 1000, 20.0)), empty_city, params)
         b = build_coverage_map(BaseStation(2, Point3(1300, 1000, 20.0)), empty_city, params)
         ab, ba = common_border_points(a, b), common_border_points(b, a)
-        assert ab.pair == (9, 2) and ba.pair == (2, 9)
         n_a = int(points_in_coverage(a.border_points, b).sum())
-        assert_bitwise(ab.points[:n_a], ba.points[-n_a:])
-        assert_bitwise(ab.points[n_a:], ba.points[:-n_a])
+        assert 0 < n_a < ab.shape[0]
+        assert_bitwise(ab[:n_a], a.border_points[points_in_coverage(a.border_points, b)])
+        assert_bitwise(ab[:n_a], ba[-n_a:])
+        assert_bitwise(ab[n_a:], ba[:-n_a])
 
     def test_empty_and_borderless_maps_share_nothing(self, params, empty_city):
         a = build_coverage_map(BaseStation(1, Point3(1000, 1000, 20.0)), empty_city, params)
         empty = _wedge_map([], [], [], center=(1000.0, 1000.0))
         flat = _wedge_map([1.0, 2.0], [2.0, 3.0], [0.0, 0.0], center=(1000.0, 1000.0))
-        assert common_border_points(a, empty).points.shape == (0, 2)
+        assert common_border_points(a, empty).shape == (0, 2)
         # a map with no border points still holds the other map's points at its apex
-        cb = common_border_points(a, flat)
-        assert_bitwise(cb.points, a.border_points[points_in_coverage(a.border_points, flat)])
+        assert_bitwise(common_border_points(a, flat),
+                       a.border_points[points_in_coverage(a.border_points, flat)])
 
 
 def _cut_map(s, gap, center):

@@ -20,7 +20,6 @@ from skypath.evaluation import (
     run_monte_carlo,
     sample_polyline,
     summarize_reports,
-    trajectory_length,
     write_report_csv,
 )
 from skypath.geometry import GEOM_EPS, Point3
@@ -28,6 +27,7 @@ from skypath.planner import InfeasibleEndpointError, Trajectory, straight_line_p
 from skypath.scenario import (
     InvalidConfigError,
     PlacementError,
+    build_default_scenario,
     default_mission,
     default_radio_params,
 )
@@ -43,16 +43,16 @@ def traj(points, kind="straight"):
 
 class TestTrajectoryLength:
     def test_two_waypoints(self):
-        assert trajectory_length(traj([(0, 0), (100, 0)])) == pytest.approx(100.0)
+        assert traj([(0, 0), (100, 0)]).length == pytest.approx(100.0)
 
     def test_default_mission_straight(self):
         t = straight_line_plan(default_mission())
-        assert trajectory_length(t) == pytest.approx(1697.0562748477141, rel=1e-12)
+        assert t.length == pytest.approx(1697.0562748477141, rel=1e-12)
 
     def test_interior_detour_adds_length(self):
-        direct = trajectory_length(traj([(0, 0), (100, 0)]))
-        detour = trajectory_length(traj([(0, 0), (50, 50), (100, 0)]))
-        collinear = trajectory_length(traj([(0, 0), (50, 0), (100, 0)]))
+        direct = traj([(0, 0), (100, 0)]).length
+        detour = traj([(0, 0), (50, 50), (100, 0)]).length
+        collinear = traj([(0, 0), (50, 0), (100, 0)]).length
         assert detour > direct
         assert collinear == pytest.approx(direct)
 
@@ -253,6 +253,13 @@ class TestEndpointFirst:
             evaluate_planners(scn, planners=("base",), border_samples=0)
         with pytest.raises(InvalidConfigError):
             evaluate_planners(scn, planners=("base",), angular_step=0.7)
+
+    def test_unknown_planner_raises(self):
+        scn = build_default_scenario(seed=1)
+        with pytest.raises(ValueError, match=r"unknown planners: \['optimised'\]"):
+            evaluate_planners(scn, planners=("optimised",))
+        with pytest.raises(ValueError, match="unknown planners"):
+            evaluate_planners(scn, planners=("base", "grid", "dijkstra"))
 
 
 class TestMonteCarlo:

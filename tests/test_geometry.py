@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skypath.coverage import CoverageMap, points_in_coverage
-from skypath.geometry import TWO_PI, Building, CircularSector, Point3
+from skypath.geometry import TWO_PI, Building, Point3
 from skypath.planner import segments_in_coverage
 from skypath.scenario import CityMap
 
-from conftest import sampled_segment_clear, segments_clear_buildings
+from conftest import map_distance_oracle, sampled_segment_clear, segments_clear_buildings
 
 
 def city_of(*buildings, width=2000.0, depth=2000.0):
@@ -27,7 +27,8 @@ def wrap_angle(theta: float) -> float:
 
 def segment_clears_buildings(a: Point3, b: Point3, city: CityMap) -> bool:
     """The reference slab test on the one segment ab."""
-    return bool(segments_clear_buildings(a.as_array(), b.as_array(), city.building_arrays())[0])
+    p0, p1 = np.array([a.x, a.y, a.z]), np.array([b.x, b.y, b.z])
+    return bool(segments_clear_buildings(p0, p1, city.building_arrays())[0])
 
 
 class TestSegmentClearsBuildings:
@@ -112,39 +113,38 @@ def _clearance_margin(a, b, city):
     return margin
 
 
-def _map(*sectors) -> CoverageMap:
-    """A coverage map whose wedges are the given sectors, which share a center."""
-    return CoverageMap(bs_id=1, center=sectors[0].center,
-                       starts=[s.theta_start for s in sectors],
-                       ends=[s.theta_end for s in sectors],
-                       radii=[s.radius for s in sectors],
+def _map(center, *wedges) -> CoverageMap:
+    """A coverage map around ``center`` whose wedges are the given
+    (start, end, radius) triples."""
+    starts, ends, radii = zip(*wedges)
+    return CoverageMap(bs_id=1, center=center, starts=starts, ends=ends, radii=radii,
                        border_points=np.empty((0, 2)))
 
 
-def point_in_sector(p, s: CircularSector) -> bool:
-    """Membership of p in the one-wedge map of s."""
-    return bool(points_in_coverage(np.asarray(p, dtype=float), _map(s))[0])
+def point_in_sector(p, cov: CoverageMap) -> bool:
+    """Membership of p in the map."""
+    return bool(points_in_coverage(np.asarray(p, dtype=float), cov)[0])
 
 
 class TestPointInSector:
     def test_center_always_inside(self):
-        s = CircularSector((10.0, -3.0), 0.0, math.pi / 2, 10.0)
+        s = _map((10.0, -3.0), (0.0, math.pi / 2, 10.0))
         assert point_in_sector((10.0, -3.0), s)
 
     def test_azimuth_outside_span(self):
-        s = CircularSector((0.0, 0.0), 0.0, math.pi / 2, 10.0)
+        s = _map((0.0, 0.0), (0.0, math.pi / 2, 10.0))
         assert not point_in_sector((0.0, -1.0), s)
 
     def test_near_arc_point_inside(self):
-        s = CircularSector((0.0, 0.0), 0.0, math.pi / 2, 10.0)
+        s = _map((0.0, 0.0), (0.0, math.pi / 2, 10.0))
         assert point_in_sector((7.07, 7.07), s)  # radius ~9.9985
 
     def test_just_beyond_arc_outside(self):
-        s = CircularSector((0.0, 0.0), 0.0, math.pi / 2, 10.0)
+        s = _map((0.0, 0.0), (0.0, math.pi / 2, 10.0))
         assert not point_in_sector((7.08, 7.08), s)
 
     def test_wraparound_tolerance_at_zero(self):
-        s = CircularSector((0.0, 0.0), 3 * math.pi / 2, TWO_PI, 10.0)
+        s = _map((0.0, 0.0), (3 * math.pi / 2, TWO_PI, 10.0))
         assert point_in_sector((5.0, 0.0), s)  # azimuth 0 == 2*pi boundary
         assert point_in_sector((5.0, -1e-9), s)
 
@@ -163,14 +163,14 @@ class TestPointInSector:
         end = min(start + span, TWO_PI)
         if end - start <= 1e-6:
             return
-        s = CircularSector((cx, cy), start, end, radius)
+        s = _map((cx, cy), (start, end, radius))
         p = (cx + pr * math.cos(pang), cy + pr * math.sin(pang))
         # rotate sector and point about the center by the same angle
         new_start = wrap_angle(start + rot)
         new_end = new_start + (end - start)
         if new_end > TWO_PI:  # keep the non-wrapping representation
             return
-        s_rot = CircularSector((cx, cy), new_start, new_end, radius)
+        s_rot = _map((cx, cy), (new_start, new_end, radius))
         p_rot = (cx + pr * math.cos(pang + rot), cy + pr * math.sin(pang + rot))
         # skip points within tolerance of the angular boundary or the apex
         for edge in (start, end):
@@ -181,9 +181,9 @@ class TestPointInSector:
         assert point_in_sector(p, s) == point_in_sector(p_rot, s_rot)
 
 
-def _inside(a, b, *sectors) -> bool:
-    """segments_in_coverage on the union of sectors sharing one center."""
-    return bool(segments_in_coverage(np.array(a), np.array(b), _map(*sectors))[0])
+def _inside(a, b, cov: CoverageMap) -> bool:
+    """segments_in_coverage on one map."""
+    return bool(segments_in_coverage(np.array(a), np.array(b), cov)[0])
 
 
 class TestSegmentSectorCrossings:
@@ -191,7 +191,7 @@ class TestSegmentSectorCrossings:
     predicate: it must flip exactly at the crossing."""
 
     def setup_method(self):
-        self.half = CircularSector((0.0, 0.0), 0.0, math.pi, 10.0)
+        self.half = _map((0.0, 0.0), (0.0, math.pi, 10.0))
 
     def test_interior_segment_no_crossings(self):
         assert _inside((1.0, 1.0), (2.0, 2.0), self.half)
@@ -214,25 +214,23 @@ class TestSegmentSectorCrossings:
         # the theta=0 edge joins a radius-6 sector below to a radius-10
         # quarter above; a chord between covered points crossing that edge
         # at (x, 0) stays inside iff x <= 6
-        quarter = CircularSector((0.0, 0.0), 0.0, math.pi / 2, 10.0)
-        below = CircularSector((0.0, 0.0), 3 * math.pi / 2, TWO_PI, 6.0)
+        both = _map((0.0, 0.0), (0.0, math.pi / 2, 10.0), (3 * math.pi / 2, TWO_PI, 6.0))
         for a in ((5.0, -1.0), (5.5, -1.0), (6.5, 1.0), (7.5, 1.0)):
-            assert _inside(a, a, quarter, below)
-        assert _inside((5.0, -1.0), (6.5, 1.0), quarter, below)  # crosses at x = 5.75
-        assert not _inside((5.5, -1.0), (7.5, 1.0), quarter, below)  # at x = 6.5
+            assert _inside(a, a, both)
+        assert _inside((5.0, -1.0), (6.5, 1.0), both)  # crosses at x = 5.75
+        assert not _inside((5.5, -1.0), (7.5, 1.0), both)  # at x = 6.5
 
     def test_tangent_line_single_crossing(self):
         # the line y=10 touches the radius-10 arc of the right half only at
         # (0, 10), where the radius-12 upper quarter ends: a segment along it
         # stays inside up to that point and leaves right after it
-        upper = CircularSector((0.0, 0.0), 0.0, math.pi / 2, 12.0)
-        left = CircularSector((0.0, 0.0), math.pi / 2, math.pi, 10.0)
-        assert _inside((5.0, 10.0), (0.0, 10.0), upper, left)
-        assert _inside((5.0, 10.0), (-1e-4, 10.0), upper, left)
-        assert not _inside((5.0, 10.0), (-0.1, 10.0), upper, left)
+        both = _map((0.0, 0.0), (0.0, math.pi / 2, 12.0), (math.pi / 2, math.pi, 10.0))
+        assert _inside((5.0, 10.0), (0.0, 10.0), both)
+        assert _inside((5.0, 10.0), (-1e-4, 10.0), both)
+        assert not _inside((5.0, 10.0), (-0.1, 10.0), both)
         # chords from covered ends that cross that edge below / above radius 10
-        assert _inside((2.0, 10.8), (-4.0, 7.8), upper, left)  # at y = 9.8
-        assert not _inside((2.0, 11.3), (-4.0, 8.0), upper, left)  # at y = 10.2
+        assert _inside((2.0, 10.8), (-4.0, 7.8), both)  # at y = 9.8
+        assert not _inside((2.0, 11.3), (-4.0, 8.0), both)  # at y = 10.2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -248,7 +246,7 @@ class TestSegmentSectorCrossings:
         end = min(start + span, TWO_PI)
         if end - start <= 0.05:
             return
-        s = CircularSector((0.0, 0.0), start, end, radius)
+        s = _map((0.0, 0.0), (start, end, radius))
         a, b = (ax, ay), (bx, by)
         if min(_sector_margin(a, s), _sector_margin(b, s)) < 1e-5:
             return  # too close to the boundary to judge
@@ -256,19 +254,18 @@ class TestSegmentSectorCrossings:
         assert _inside(a, b, s) == expected
 
 
-def _sector_margin(p, s):
-    """Distance from p to the sector boundary (inside or outside)."""
-    from skypath.geometry import point_sector_distance
-
-    d_out = point_sector_distance(p, s)
+def _sector_margin(p, cov):
+    """Distance from p to the boundary of a one-wedge map (inside or outside)."""
+    d_out = map_distance_oracle(p, cov)
     if d_out > 0.0:
         return d_out
     # inside: distance to boundary = min over radius gap and angular walls
-    dx, dy = p[0] - s.center[0], p[1] - s.center[1]
+    start, span, radius = cov.starts[0], cov.ends[0] - cov.starts[0], cov.radii[0]
+    dx, dy = p[0] - cov.center[0], p[1] - cov.center[1]
     r = math.hypot(dx, dy)
     az = math.atan2(dy, dx) % TWO_PI
-    delta = (az - s.theta_start) % TWO_PI
-    gaps = [s.radius - r, r * min(delta, s.span - delta) if r > 0 else 0.0]
+    delta = (az - start) % TWO_PI
+    gaps = [radius - r, r * min(delta, span - delta) if r > 0 else 0.0]
     return max(0.0, min(gaps))
 
 
@@ -284,12 +281,12 @@ class TestInvariants:
             Building(0, 10, 0, 5, 0.0)
 
     def test_sector_rejects_reflex_span(self):
-        with pytest.raises(ValueError):
-            CircularSector((0, 0), 0.0, math.pi * 1.5, 5.0)
+        with pytest.raises(ValueError, match="spans must lie in"):
+            _map((0, 0), (0.0, math.pi * 1.5, 5.0))
 
     def test_sector_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            CircularSector((0, 0), 0.0, 1.0, -1.0)
+        with pytest.raises(ValueError, match="radii must be non-negative"):
+            _map((0, 0), (0.0, 1.0, -1.0))
 
     def test_bulk_oracle_agreement(self):
         # seeded bulk comparison on one realistic city patch

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skypath.coverage import (
-    CommonBorder,
     CoverageMap,
     build_all_coverage,
     build_coverage_map,
@@ -150,7 +149,7 @@ class TestFeasibilityGraph:
                                   start_xy=(300.0, 1000.0), goal_xy=(1700.0, 1000.0))
         maps, commons = build_all_coverage(scn)
         g = build_feasibility_graph(scn, maps, commons)
-        n_common = commons[(1, 2)].points.shape[0]
+        n_common = commons[(1, 2)].shape[0]
         assert g.edge_count == 2 + 2 * n_common
         assert g.node_count == 2 + 2 + n_common
 
@@ -209,8 +208,7 @@ def _disk(bs, radius):
 def _hand_layout(stations, radii, start, goal, commons):
     scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
     maps = {bs.id: _disk(bs, r) for bs, r in zip(scn.base_stations, radii)}
-    commons = {pair: CommonBorder(pair, np.array(pts, dtype=float))
-               for pair, pts in commons.items()}
+    commons = {pair: np.array(pts, dtype=float) for pair, pts in commons.items()}
     return scn, maps, commons
 
 
@@ -339,19 +337,9 @@ class TestLineInCoverage:
             assert line_in_coverage(a, b, cov)
 
     def test_chord_crossing_gap_rejected(self):
-        from skypath.geometry import CircularSector
-        from skypath.coverage import CoverageMap
-
         # two wedges with a dead gap between them; chord across the gap fails
-        sectors = (
-            CircularSector((0.0, 0.0), 0.0, 0.4, 500.0),
-            CircularSector((0.0, 0.0), 1.0, 1.4, 500.0),
-        )
-        cov = CoverageMap(bs_id=1, center=(0.0, 0.0),
-                          starts=[s.theta_start for s in sectors],
-                          ends=[s.theta_end for s in sectors],
-                          radii=[s.radius for s in sectors],
-                          border_points=np.empty((0, 2)))
+        cov = CoverageMap(bs_id=1, center=(0.0, 0.0), starts=[0.0, 1.0], ends=[0.4, 1.4],
+                          radii=[500.0, 500.0], border_points=np.empty((0, 2)))
         a = (400 * math.cos(0.2), 400 * math.sin(0.2))
         b = (400 * math.cos(1.2), 400 * math.sin(1.2))
         assert not line_in_coverage(a, b, cov)
@@ -404,7 +392,7 @@ class TestRefinedGraph:
         # independent oracle: best v_I -> lens point -> v_F among the
         # discretized common-border points whose two legs stay covered
         best = math.inf
-        for x, y in commons[(1, 2)].points:
+        for x, y in commons[(1, 2)]:
             if not sampled_line_in_coverage(start, (x, y), maps[1], 0.5):
                 continue
             if not sampled_line_in_coverage((x, y), goal, maps[2], 0.5):
@@ -547,7 +535,7 @@ class TestOptimizeOracle:
     def _check(self, scn, maps, commons):
         mission = scn.mission
         ids = [k for k in sorted(maps) if not maps[k].is_empty]
-        border = np.unique(np.vstack([c.points for c in commons.values()]), axis=0)
+        border = np.unique(np.vstack(list(commons.values())), axis=0)
         xy = np.vstack([[mission.start.xy], [maps[k].center for k in ids], border,
                         [mission.goal.xy]])
         inside = {k: points_in_coverage(xy, maps[k]) for k in ids}
