@@ -68,16 +68,36 @@ def sample_polyline(points_xy: np.ndarray, step: float) -> np.ndarray:
     return np.column_stack([x, y])
 
 
+def _check_step(step: float) -> None:
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"sampling step must be finite and positive: {step}")
+
+
+def _outage_fractions(trajectories, scenario: Scenario, step: float) -> list[float]:
+    """``outage_fraction`` of each trajectory, from one ``network_covered``
+    call on all their samples; the mask is split back per trajectory.
+
+    A sample's verdict depends only on its own position: the disk tests are
+    per point, and ``fan_blocked`` drops only buildings that block no point
+    of the call. So each fraction is the one the trajectory gets alone.
+    """
+    samples = [sample_polyline(t.xy_array(), step) for t in trajectories]
+    if not samples:
+        return []
+    covered = network_covered(np.concatenate(samples), scenario)
+    cuts = np.cumsum([len(s) for s in samples])[:-1]
+    return [float(1.0 - part.mean()) for part in np.split(covered, cuts)]
+
+
 def outage_fraction(t: Trajectory, scenario: Scenario, step: float = OUTAGE_STEP) -> float:
     """Fraction of arc-length samples where no station meets the SNR threshold.
 
-    At constant speed the arc-length fraction equals the time fraction.
+    At constant speed the arc-length fraction equals the time fraction. This
+    is the one-trajectory case of the scorer ``evaluate_planners`` runs on
+    all of a trial's trajectories at once.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"sampling step must be finite and positive: {step}")
-    samples = sample_polyline(t.xy_array(), step)
-    covered = network_covered(samples, scenario)
-    return float(1.0 - covered.mean())
+    _check_step(step)
+    return _outage_fractions([t], scenario, step)[0]
 
 
 @dataclass
@@ -122,8 +142,9 @@ class MonteCarloConfig:
         check_map_settings(self.angular_step, self.border_samples)
         if not 0.0 < self.grid_step < math.inf:
             raise InvalidConfigError(f"grid step must be finite and positive: {self.grid_step}")
-        if not 0.0 < self.outage_step < math.inf:
-            raise ValueError(f"sampling step must be finite and positive: {self.outage_step}")
+        _check_step(self.outage_step)
+        if self.base_seed < 0:
+            raise ValueError(f"base seed must be non-negative: {self.base_seed}")
 
 
 def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int):
@@ -168,12 +189,16 @@ def evaluate_planners(
     grid_step: float = GRID_STEP,
     outage_step: float = OUTAGE_STEP,
 ):
-    """Run the selected planners on one scenario; score each trajectory.
+    """Run the selected planners on one scenario, then score their trajectories.
 
-    Returns (reports, trajectories). Wall times are cumulative over the
-    stages a planner needs: the optimized planner's time includes coverage
-    construction and the base stage it refines. Raises ValueError for an
-    unknown planner name.
+    Returns (reports, trajectories). Every planner runs first; then one
+    ``network_covered`` call scores all the trajectories found, on their
+    stacked samples (``outage_fraction`` per trajectory, bit for bit). Wall
+    times exclude the scoring and are cumulative over the stages a planner
+    needs: the optimized planner's time includes coverage construction and
+    the base stage it refines. Raises ValueError for an unknown planner name
+    or a sampling step that is not finite and positive, whether or not any
+    planner finds a path.
 
     The graph planners skip work that cannot change their answer. The maps
     come in three ``build_coverage_maps`` batches, none rebuilding a station:
@@ -188,29 +213,21 @@ def evaluate_planners(
     its points to those that could beat the refined path.
     """
     _check_planners(planners)
+    _check_step(outage_step)
     wanted = [p for p in PLANNER_ORDER if p in planners]
-    reports: list[PlannerReport] = []
-    trajectories: dict[str, Trajectory | None] = {}
+    # planner -> (trajectory or None, nodes, edges, wall_ms, note)
+    planned: dict[str, tuple] = {}
 
-    def score(traj: Trajectory | None):
-        if traj is None:
-            return None, None
-        return traj.length, outage_fraction(traj, scenario, outage_step)
+    def ms_since(t0: float) -> float:
+        return (time.perf_counter() - t0) * 1e3
 
     if "straight" in wanted:
         t0 = time.perf_counter()
         traj = straight_line_plan(scenario.mission)
-        wall = (time.perf_counter() - t0) * 1e3
-        length, outage = score(traj)
-        trajectories["straight"] = traj
-        reports.append(
-            PlannerReport(seed, "straight", True, length, outage, 2, 1, wall)
-        )
+        planned["straight"] = (traj, 2, 1, ms_since(t0), "")
 
-    needs_graph = {"base", "optimized"} & set(wanted)
-    if needs_graph:
+    if {"base", "optimized"} & set(wanted):
         t0 = time.perf_counter()
-        feasible = True
         note = ""
         base = None
         size = (None, None)
@@ -222,58 +239,39 @@ def evaluate_planners(
             )
             size = feasibility_graph_size(maps, commons, *covers)
             base = base_trajectory(scenario, maps, commons)
-            feasible = base is not None
-            if not feasible:
+            if base is None:
                 note = "no path between the mission endpoints in the feasibility graph"
         except InfeasibleEndpointError as exc:
-            feasible = False
             note = str(exc)
-        base_wall = (time.perf_counter() - t0) * 1e3
+        base_wall = ms_since(t0)
 
         if "base" in wanted:
-            length, outage = score(base.trajectory if base else None)
-            trajectories["base"] = base.trajectory if base else None
-            reports.append(
-                PlannerReport(
-                    seed, "base", feasible, length, outage, *size, base_wall, note,
-                )
-            )
+            planned["base"] = (base.trajectory if base else None, *size, base_wall, note)
         if "optimized" in wanted:
-            if feasible:
+            if base is None:
+                planned["optimized"] = (None, None, None, base_wall, note)
+            else:
                 t1 = time.perf_counter()
                 refined = build_refined_graph(base, scenario, maps, commons)
                 traj = optimize_trajectory(base, scenario, maps, commons, graph=refined)
-                wall = base_wall + (time.perf_counter() - t1) * 1e3
-                length, outage = score(traj)
-                trajectories["optimized"] = traj
-                reports.append(
-                    PlannerReport(
-                        seed, "optimized", True, length, outage,
-                        refined.node_count, refined.edge_count, wall,
-                    )
-                )
-            else:
-                trajectories["optimized"] = None
-                reports.append(
-                    PlannerReport(
-                        seed, "optimized", False, None, None, None, None,
-                        base_wall, note,
-                    )
-                )
+                planned["optimized"] = (traj, refined.node_count, refined.edge_count,
+                                        base_wall + ms_since(t1), "")
 
     if "grid" in wanted:
         t0 = time.perf_counter()
         result = grid_baseline_plan(scenario, grid_step=grid_step)
-        wall = (time.perf_counter() - t0) * 1e3
-        length, outage = score(result.trajectory)
-        trajectories["grid"] = result.trajectory
-        reports.append(
-            PlannerReport(
-                seed, "grid", result.trajectory is not None, length, outage,
-                result.node_count, result.edge_count, wall,
-            )
-        )
+        planned["grid"] = (result.trajectory, result.node_count, result.edge_count,
+                           ms_since(t0), "")
 
+    trajectories = {name: plan[0] for name, plan in planned.items()}
+    found = [name for name, traj in trajectories.items() if traj is not None]
+    outages = dict(zip(found, _outage_fractions(
+        [trajectories[name] for name in found], scenario, outage_step)))
+    reports = [
+        PlannerReport(seed, name, traj is not None, traj.length if traj else None,
+                      outages.get(name), nodes, edges, wall, note)
+        for name, (traj, nodes, edges, wall, note) in planned.items()
+    ]
     return reports, trajectories
 
 

@@ -150,6 +150,17 @@ class TestEval:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["planners"]["base"]["mean_outage"] == 0.0
 
+    def test_bad_outage_step_rejected_without_any_trajectory(self, tmp_path, capsys):
+        # the start is uncovered, so neither selected planner finds a path
+        path = tmp_path / "uncovered.json"
+        save_scenario(open_field_scenario([(1000.0, 1000.0)], start_xy=(100.0, 100.0),
+                                          goal_xy=(1000.0, 900.0)), path)
+        out_dir = tmp_path / "ev"
+        assert run(["eval", "--scenario", path, "--out-dir", out_dir,
+                    "--planners", "base,optimized", "--outage-step", 0]) == 1
+        assert capsys.readouterr().err.startswith("error: sampling step")
+        assert not out_dir.exists()
+
 
 class TestMonteCarlo:
     def test_deterministic_csv_modulo_walltime(self, tmp_path, open_field_file):
@@ -228,6 +239,8 @@ class TestMonteCarlo:
                           ("eval", "--outage-step"), ("montecarlo", "--angular-step-deg"),
                           ("montecarlo", "--grid-step"), ("montecarlo", "--outage-step")]
     for value in ("0", "nan", "inf")
+] + [
+    ("montecarlo", ["--base-seed", -3]),
 ])
 def test_rejected_call_leaves_no_out_dir(tmp_path, open_field_file, capsys, command, extra):
     # montecarlo rejects settings every trial would fail on rather than

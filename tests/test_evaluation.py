@@ -12,6 +12,7 @@ from skypath.coverage import (
     LinkState,
     build_all_coverage,
     coverage_disk_radius_sq,
+    network_covered,
 )
 from skypath.evaluation import (
     MonteCarloConfig,
@@ -32,7 +33,12 @@ from skypath.scenario import (
     default_radio_params,
 )
 
-from conftest import node_graph_base, open_field_scenario, small_city_scenario
+from conftest import (
+    dense_network_covered,
+    node_graph_base,
+    open_field_scenario,
+    small_city_scenario,
+)
 
 R_LOS = math.sqrt(coverage_disk_radius_sq(default_radio_params(), LinkState.LOS))
 
@@ -157,6 +163,91 @@ class TestEvaluatePlanners:
         assert not by_name["optimized"].feasible
         assert by_name["base"].length_m is None
         assert trajectories["base"] is None
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    def test_bad_step_raises_without_any_trajectory(self, step):
+        # the start is uncovered, so no selected planner finds a path
+        scn = open_field_scenario([(1000.0, 1000.0)],
+                                  start_xy=(100.0, 100.0), goal_xy=(1000.0, 900.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            evaluate_planners(scn, planners=("base", "optimized"), outage_step=step)
+
+
+def _record_network_covered(monkeypatch):
+    """Record (points, mask) of every scoring ``network_covered`` call."""
+    calls = []
+    real = evaluation.network_covered
+
+    def recording(points, scenario):
+        mask = real(points, scenario)
+        calls.append((np.array(points), mask))
+        return mask
+
+    monkeypatch.setattr(evaluation, "network_covered", recording)
+    return calls
+
+
+class TestStackedScoring:
+    """``evaluate_planners`` scores all of a trial's trajectories with one
+    ``network_covered`` call on their stacked samples."""
+
+    def test_matches_scoring_each_trajectory_alone(self):
+        scn = build_default_scenario(seed=1)
+        start = scn.mission.start
+        trajectories = [
+            traj([(start.x, start.y), (start.x, start.y)]),  # zero length
+            straight_line_plan(scn.mission),
+            traj([(100.0, 200.0), (150.0, 1000.0), (100.0, 1800.0)]),  # left edge
+            traj([(1900.0, 200.0), (1850.0, 1000.0), (1900.0, 1800.0)]),  # right edge
+        ]
+        samples = [sample_polyline(t.xy_array(), 1.0) for t in trajectories]
+        alone = [network_covered(s, scn) for s in samples]
+        stacked = network_covered(np.concatenate(samples), scn)
+        assert np.array_equal(stacked, np.concatenate(alone))
+
+        expected = [float(1.0 - mask.mean()) for mask in alone]
+        assert evaluation._outage_fractions(trajectories, scn, 1.0) == expected
+        assert evaluation._outage_fractions(trajectories[::-1], scn, 1.0) == expected[::-1]
+        assert [outage_fraction(t, scn) for t in trajectories] == expected
+        assert len(samples[0]) == 1 and expected[0] in (0.0, 1.0)
+        assert 0.0 < expected[1] < 1.0
+
+        # the two edge paths are more than 2 r_los apart: no station serves both
+        bs_xy = np.array([bs.xy for bs in scn.base_stations])
+
+        def serving(pts):
+            d2 = ((pts[:, None, :] - bs_xy[None]) ** 2).sum(axis=2)
+            return set(np.flatnonzero((d2 <= R_LOS ** 2).any(axis=0)).tolist())
+
+        left, right = serving(samples[2]), serving(samples[3])
+        assert left and right and not left & right
+
+    def test_mask_matches_dense_reference(self, monkeypatch):
+        scn = small_city_scenario(seed=8, k=5)
+        calls = _record_network_covered(monkeypatch)
+        reports, trajectories = evaluate_planners(scn)
+        assert [r.planner for r in reports] == ["straight", "base", "optimized"]
+        assert all(r.feasible for r in reports)
+        assert len(calls) == 1
+        points, mask = calls[0]
+        assert np.array_equal(points, np.concatenate(
+            [sample_polyline(t.xy_array(), 1.0) for t in trajectories.values()]))
+        assert np.array_equal(mask, dense_network_covered(points, scn))
+        assert [r.outage for r in reports] == [
+            outage_fraction(t, scn) for t in trajectories.values()]
+
+    def test_one_scoring_call_per_trial(self, monkeypatch):
+        calls = _record_network_covered(monkeypatch)
+        rows = run_monte_carlo(small_city_scenario(seed=8, k=5),
+                               MonteCarloConfig(trials=3, base_seed=1))
+        assert sum(r.feasible for r in rows if r.planner == "base") >= 1
+        assert len(calls) == 3
+        # no trajectory at all: nothing to score
+        calls.clear()
+        scn = open_field_scenario([(1000.0, 1000.0)],
+                                  start_xy=(100.0, 100.0), goal_xy=(1000.0, 900.0))
+        evaluate_planners(scn, planners=("base", "optimized"))
+        assert calls == []
 
 
 def _all_maps_first(scn):
@@ -327,7 +418,7 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=1, planners=("warp",))
         for bad in ({"border_samples": 0}, {"angular_step": 0.7}, {"grid_step": 0.0},
-                    {"outage_step": -1.0}):
+                    {"outage_step": -1.0}, {"base_seed": -3}):
             with pytest.raises(ValueError):
                 MonteCarloConfig(trials=1, **bad)
 
