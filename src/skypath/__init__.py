@@ -15,6 +15,7 @@ from .coverage import (
     build_coverage_map,
     common_border_points,
     coverage_disk_radius_sq,
+    line_in_coverage,
     network_covered,
 )
 from .evaluation import (
@@ -38,7 +39,6 @@ from .planner import (
     build_feasibility_graph,
     build_refined_graph,
     grid_baseline_plan,
-    line_in_coverage,
     optimize_trajectory,
     shortest_path,
     straight_line_plan,

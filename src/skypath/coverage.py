@@ -31,13 +31,16 @@ Point-sampled azimuths would over-claim between samples and break the
 zero-outage guarantee.
 
 ``build_coverage_maps`` builds the maps of a batch of stations together:
-the blocking sweep and certified radii, the greedy cell merge, the border
-walk and the jumps of R each run once over the stacked arrays of all of
-them, and each map equals the one built alone, bit for bit.
+the blocking sweep and certified radii, the greedy cell merge and the border
+walk each run once over the stacked arrays of all of them, and each map,
+its wedges and its border, equals the one built alone, bit for bit.
 ``points_in_coverage`` answers any set of (point, map) rows in one call and
 alone applies the reach rule (no map holds a point beyond its largest radius
 plus GEOM_EPS); the common borders of all station pairs take one such call,
 and each pair's border is an (N, 2) array of points keyed by its station ids.
+``_segments_clear`` answers (segment, map) rows: both ends by that call, then
+every jump of R a segment crosses, from one ``_radius_steps`` call over the
+maps' stacked wedges.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +72,8 @@ AZIMUTH_GUARD = 1e-9
 # (azimuth, building) pairs per batch of the blocking sweep; small enough to
 # keep the batch's temporaries in cache.
 SWEEP_BATCH = 16_384
+# (segment, jump) pairs that ``_jumps_clear`` holds in memory at once.
+JUMP_BATCH = 100_000
 
 
 class LinkState(Enum):
@@ -348,18 +353,6 @@ class CoverageMap:
     def is_empty(self) -> bool:
         return self.radii.size == 0
 
-    @cached_property
-    def radius_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The wedge union as a step function R(theta), by its jumps.
-
-        The union is {r <= R(theta)}, with R a wedge's radius across its span
-        and 0 in the gaps between wedges. Returns the sorted angles in
-        [0, 2*pi) where R changes, and R just before and just after each of
-        them. Where a wedge starts within 1e-12 rad of the end of the one
-        before, the two edges are one angle, the smaller of the two.
-        """
-        return _radius_steps(self.starts, self.ends, self.radii, [self.radii.size])[:3]
-
     @property
     def max_radius(self) -> float:
         if self.is_empty:
@@ -458,24 +451,25 @@ def _certified_cell_radii(centers, city: CityMap, params: RadioParams, n_cells: 
     is monotone, so scaling by the factor before or after the minimum gives
     the same bits.
 
-    Why the slack is safe: ``points_in_coverage`` claims p = (r, phi) up to
-    GEOM_EPS / r rad past a wedge's edge e (a cell edge, unless the next
-    wedge, of equal radius, covers phi), ``_jumps_clear`` up to GEOM_EPS from
-    e's ray: delta = phi - e <= asin(GEOM_EPS / r), r <= cert_c -
-    RADIUS_SAFETY + GEOM_EPS for the wedge's cell c at e, and r > r_nlos, or p
-    is covered. Let building b block p, entering at q: factor * |q| <= r.
-    Points x between the rays e and phi with |x| <= |q| lie within |q|
-    sin(delta) <= GEOM_EPS of e's line, so within g(|x|) of e. Take x*, the
-    nearest such point of the footprint. (a) On e's ray, c's edge value is <=
-    factor * |x*| <= r. (b) A critical point counts for c with value <= r. (c)
-    Else x* = q lies inside a face L. If L is parallel to e, it passes within
-    GEOM_EPS of the station, and its foot or the corner toward it is a
-    case-(b) point. Else L meets e's ray at gamma >= pi / (2 n_cells), faces
-    being axis-aligned; along L toward e, e's ray or a corner comes within |q|
-    (1 + delta cot gamma) of the station, within GEOM_EPS of e's line, so
-    cert_c <= r + n_cells * GEOM_EPS. Each case contradicts the bound on r
-    while n_cells < (RADIUS_SAFETY - GEOM_EPS) / GEOM_EPS, about 10^4 (720 by
-    default). Rounded azimuths are off by ulps, far inside AZIMUTH_GUARD.
+    Why the slack is safe: point membership (``points_in_coverage``) claims
+    p = (r, phi) up to GEOM_EPS / r rad past a wedge's edge e (a cell edge,
+    unless the next wedge, of equal radius, covers phi), segment membership
+    (``_jumps_clear``) up to GEOM_EPS from e's ray: delta = phi - e <=
+    asin(GEOM_EPS / r), r <= cert_c - RADIUS_SAFETY + GEOM_EPS for the wedge's
+    cell c at e, and r > r_nlos, or p is covered. Let building b block p,
+    entering at q: factor * |q| <= r. Points x between the rays e and phi with
+    |x| <= |q| lie within |q| sin(delta) <= GEOM_EPS of e's line, so within
+    g(|x|) of e. Take x*, the nearest such point of the footprint. (a) On e's
+    ray, c's edge value is <= factor * |x*| <= r. (b) A critical point counts
+    for c with value <= r. (c) Else x* = q lies inside a face L. If L is
+    parallel to e, it passes within GEOM_EPS of the station, and its foot or
+    the corner toward it is a case-(b) point. Else L meets e's ray at gamma >=
+    pi / (2 n_cells), faces being axis-aligned; along L toward e, e's ray or a
+    corner comes within |q| (1 + delta cot gamma) of the station, within
+    GEOM_EPS of e's line, so cert_c <= r + n_cells * GEOM_EPS. Each case
+    contradicts the bound on r while n_cells < (RADIUS_SAFETY - GEOM_EPS) /
+    GEOM_EPS, about 10^4 (720 by default). Rounded azimuths are off by ulps,
+    far inside AZIMUTH_GUARD.
     """
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
     k = centers.shape[0]
@@ -602,10 +596,16 @@ def _wedge_ring(starts: np.ndarray, ends: np.ndarray, counts):
 
 
 def _radius_steps(starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, counts):
-    """``CoverageMap.radius_steps`` of the stacked wedges of several maps.
+    """The wedge unions of several maps, stacked ``counts`` wedges per map,
+    as step functions R(theta), by their jumps.
 
-    Returns the jump angles, R before and after each jump, stacked map by
-    map, and each map's jump count.
+    A map's union is {r <= R(theta)}, with R a wedge's radius across its
+    span and 0 in the gaps between wedges. Returns the sorted angles in
+    [0, 2*pi) where R changes, with R just before and just after each of
+    them, stacked map by map, and each map's jump count. Where a wedge starts
+    within 1e-12 rad of the end of the one before, the two edges are one
+    angle, the smaller of the two. Each map's jumps depend only on its own
+    wedges, so stacking maps changes no bit of them.
     """
     _, prv, gap = _wedge_ring(starts, ends, counts)
     joined = ~gap  # the next wedge starts where this one ends, up to rounding
@@ -624,6 +624,154 @@ def _radius_steps(starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, count
     before = piece[prev]
     jump = piece != before
     return angles[jump], before[jump], piece[jump], np.bincount(owner[jump], minlength=len(counts))
+
+
+# ---------------------------------------------------------------------------
+# segment membership
+# ---------------------------------------------------------------------------
+
+
+def _jump_table(covs: Sequence[CoverageMap]):
+    """The jumps of R for several maps in one sorted array, from one
+    ``_radius_steps`` call on their stacked wedges.
+
+    Map m's jump angles sit at offset 4*pi*m and are listed twice, the
+    second time shifted by 2*pi, so that a swept azimuth range that wraps
+    past 2*pi is one slice. Returns (angles, cos, sin, before, after).
+    """
+    wedges = (np.concatenate([getattr(cov, name) for cov in covs])
+              for name in ("starts", "ends", "radii"))
+    *steps, counts = _radius_steps(*wedges, [cov.radii.size for cov in covs])
+    # slot k of map m's block: jump k % c_m of the map, shifted when k >= c_m
+    m = np.repeat(np.arange(counts.size), 2 * counts)
+    first, size = (np.repeat(a, 2 * counts) for a in (np.cumsum(counts) - counts, counts))
+    k = np.arange(m.size) - 2 * first
+    jumps, before, after = (a[first + k % size] for a in steps)
+    angles = np.where(k < size, jumps, jumps + TWO_PI) + 2.0 * TWO_PI * m
+    return angles, np.cos(jumps), np.sin(jumps), before, after
+
+
+def _polar(points: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets of points (n, 2) from their map apexes, with azimuths and radii."""
+    a = points - centers
+    return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
+
+
+def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
+    """True where segment i crosses each jump of map which[i] inside R.
+
+    Segment i runs along d[i] = p1[i] - p0[i]; end0 and end1 are ``_polar``
+    of p0 and p1 about that map's apex, and both ends must lie in the map.
+    Along a segment, the distance from the apex, r(theta) = h / cos(theta -
+    phi), is convex in the azimuth, so on each piece of the step function R it
+    peaks at an end of the piece: the segment is inside iff it is inside R on
+    both sides of every jump it crosses. Points within GEOM_EPS of a jump's
+    ray count as covered by either side, as in ``points_in_coverage``, so
+    each side is checked where the segment leaves that band.
+    """
+    angles, cos_j, sin_j, before, after = table
+    (a, ta, ra), (b, tb, rb) = end0, end1
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    # a segment in line with the apex lies along its endpoints' rays
+    radial = np.abs(cross) <= GEOM_EPS * np.hypot(d[:, 0], d[:, 1])
+    ccw = cross >= 0.0  # the azimuth grows from p0 to p1
+    lo = np.where(ccw, ta, tb) % TWO_PI
+    width = (np.where(ccw, tb, ta) - lo) % TWO_PI
+    width[width > math.pi] = 0.0  # a rounded zero sweep
+    # an endpoint at radius r reaches the GEOM_EPS band of jumps up to
+    # GEOM_EPS / r outside the swept range
+    near = np.minimum(ra, rb)
+    pad = np.minimum(GEOM_EPS / np.maximum(near, GEOM_EPS), 0.5) + 1e-12
+    lo = np.where(lo < pad, lo + TWO_PI, lo) + 2.0 * TWO_PI * which
+    i0 = np.searchsorted(angles, lo - pad, side="left")
+    count = np.where(radial, 0, np.searchsorted(angles, lo + width + pad, side="right") - i0)
+
+    ok = np.ones(a.shape[0], dtype=bool)
+    rows = np.flatnonzero(count)
+    if rows.size == 0:
+        return ok
+    ends = np.cumsum(count[rows])
+    for seg in np.split(rows, np.searchsorted(ends, np.arange(JUMP_BATCH, ends[-1], JUMP_BATCH))):
+        n = count[seg]
+        pair = np.repeat(seg, n)
+        k = np.repeat(i0[seg] - np.cumsum(n) + n, n) + np.arange(pair.size)
+        ax, ay = a[pair, 0], a[pair, 1]
+        dx, dy = d[pair, 0], d[pair, 1]
+        # signed distance of p0 from the jump's line, > 0 on the side after
+        # the jump, and its change along the segment
+        h0 = cos_j[k] * ay - sin_j[k] * ax
+        dh = cos_j[k] * dy - sin_j[k] * dx
+        step = np.where(dh == 0.0, 1.0, dh)
+        bad = np.zeros(pair.size, dtype=bool)
+        for sign, reach in ((1.0, after[k]), (-1.0, before[k])):
+            h1 = sign * h0
+            h2 = h1 + sign * dh
+            leaves = (np.maximum(h1, h2) > GEOM_EPS) & (np.minimum(h1, h2) <= GEOM_EPS)
+            t = np.where(leaves, (GEOM_EPS - h1) / (sign * step), 0.0)
+            bad |= leaves & ((ax + t * dx) ** 2 + (ay + t * dy) ** 2 > (reach + GEOM_EPS) ** 2)
+        ok[pair[bad]] = False
+    return ok
+
+
+# Which nodes lie in which maps, for ``_segments_clear``: slot (maps, nodes)
+# holds each (node, map) pair's slot, -1 when not a member; polar is
+# ``_polar`` of each slot's node about its map's apex; table is the maps'
+# ``_jump_table``.
+_Members = namedtuple("_Members", "slot polar table")
+
+
+def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
+             which: np.ndarray) -> _Members:
+    """Membership and polar offsets of the nodes xy[node[i]] in maps covs[which[i]].
+
+    The (node, map) pairs are sorted by map, then node, with no repeats, so
+    each map's members take consecutive slots, and each pair is computed once
+    however many segments end at it.
+    """
+    inside = points_in_coverage(xy, covs, node, which)
+    node, which = node[inside], which[inside]
+    slot = np.full((len(covs), xy.shape[0]), -1)
+    slot[which, node] = np.arange(node.size)
+    centers = np.array([cov.center for cov in covs], dtype=float).reshape(-1, 2)
+    return _Members(slot, _polar(xy[node], centers[which]), _jump_table(covs))
+
+
+def _segments_clear(xy: np.ndarray, members: _Members, u: np.ndarray, v: np.ndarray,
+                    which: np.ndarray) -> np.ndarray:
+    """True where the segment xy[u[i]]-xy[v[i]] lies in map which[i]: both
+    ends are members of that map and the segment crosses each of its jumps
+    inside R (``_jumps_clear``)."""
+    # flat indices into the (maps, nodes) table index faster than 2-D ones
+    offset = which * members.slot.shape[1]
+    tail, head = members.slot.ravel()[offset + u], members.slot.ravel()[offset + v]
+    ok = (tail >= 0) & (head >= 0)
+    rows = slice(None) if ok.all() else np.flatnonzero(ok)
+    tail, head, u, v, which = (a[rows] for a in (tail, head, u, v, which))
+    if which.size:
+        ok[rows] = _jumps_clear(xy[v] - xy[u], tuple(a[tail] for a in members.polar),
+                                tuple(a[head] for a in members.polar), which, members.table)
+    return ok
+
+
+def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np.ndarray:
+    """Batched exact test: does segment p0[i]-p1[i] lie in the wedge union?
+
+    The union is {r <= R(theta)} around the station projection, with R the
+    step function of the wedges (``_radius_steps``); a segment lies in it iff
+    both endpoints do and it crosses every jump of R inside R
+    (``_jumps_clear``).
+    """
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    xy = np.vstack([p0, np.atleast_2d(np.asarray(p1, dtype=float))])
+    n = p0.shape[0]
+    ends = np.arange(2 * n)
+    members = _members(xy, [cov], ends, np.zeros_like(ends))
+    return _segments_clear(xy, members, ends[:n], ends[n:], np.zeros(n, dtype=int))
+
+
+def line_in_coverage(x, y, cov: CoverageMap) -> bool:
+    """True iff the whole segment xy lies in the wedge union of one map."""
+    return bool(segments_in_coverage(x, y, cov)[0])
 
 
 def check_map_settings(angular_step: float, border_samples: int) -> int:
@@ -648,9 +796,8 @@ def build_coverage_maps(
     """Sectorized coverage maps of several stations, with discretized borders.
 
     Each step runs once over the stacked arrays of all the stations: the
-    blocking sweep and certified cell radii, the cell merge, the border walk
-    and the jumps of R(theta), which each map keeps as its ``radius_steps``.
-    Every map is the one the station gets when built alone, bit for bit.
+    blocking sweep and certified cell radii, the cell merge and the border
+    walk. Every map is the one the station gets when built alone, bit for bit.
     """
     n_cells = check_map_settings(angular_step, border_samples)
     stations = list(stations)
@@ -661,21 +808,15 @@ def build_coverage_maps(
     radii = np.maximum(radii - RADIUS_SAFETY, 0.0)
     *wedges, counts = _cells_to_wedges(radii, RADIUS_MERGE_TOL, MIN_SECTOR_RADIUS)
     border, drawn = _border_points(centers, *wedges, counts, border_samples)
-    *steps, jumps = _radius_steps(*wedges, counts)
-    for a in (*wedges, border, *steps):
+    for a in (*wedges, border):
         a.flags.writeable = False  # each map holds views into these
 
     def split(arrays, sizes):
         ends = np.cumsum(sizes).tolist()
         return [tuple(a[i:j] for a in arrays) for i, j in zip([0, *ends], ends)]
 
-    maps = []
-    for bs, wedge, (points,), step in zip(stations, split(wedges, counts), split([border], drawn),
-                                          split(steps, jumps)):
-        cov = CoverageMap(bs.id, bs.xy, *wedge, border_points=points)
-        cov.__dict__["radius_steps"] = step  # the cached_property's slot
-        maps.append(cov)
-    return maps
+    return [CoverageMap(bs.id, bs.xy, *wedge, border_points=points) for bs, wedge, (points,)
+            in zip(stations, split(wedges, counts), split([border], drawn))]
 
 
 def build_coverage_map(bs: BaseStation, city: CityMap, params: RadioParams,

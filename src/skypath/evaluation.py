@@ -44,11 +44,18 @@ DEFAULT_PLANNERS = ("straight", "base", "optimized")
 CSV_COLUMNS = ("seed", "planner", "length_m", "outage", "nodes", "edges", "wall_ms")
 
 
-def _check_planners(planners) -> None:
-    """Raises ValueError when ``planners`` names a planner not in PLANNER_ORDER."""
+def _check_settings(planners, border_samples, angular_step, grid_step, outage_step) -> None:
+    """Raises ValueError for settings every trial would fail on, whichever
+    planners run: a planner not in PLANNER_ORDER, map settings that
+    ``check_map_settings`` rejects, or a grid or outage step that is not
+    finite and positive (InvalidConfigError for the map and grid settings)."""
     unknown = set(planners) - set(PLANNER_ORDER)
     if unknown:
         raise ValueError(f"unknown planners: {sorted(unknown)}")
+    check_map_settings(angular_step, border_samples)
+    if not 0.0 < grid_step < math.inf:
+        raise InvalidConfigError(f"grid step must be finite and positive: {grid_step}")
+    _check_step(outage_step)
 
 
 def sample_polyline(points_xy: np.ndarray, step: float) -> np.ndarray:
@@ -138,11 +145,8 @@ class MonteCarloConfig:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.jobs < 1:
             raise ValueError(f"need at least one job, got {self.jobs}")
-        _check_planners(self.planners)
-        check_map_settings(self.angular_step, self.border_samples)
-        if not 0.0 < self.grid_step < math.inf:
-            raise InvalidConfigError(f"grid step must be finite and positive: {self.grid_step}")
-        _check_step(self.outage_step)
+        _check_settings(self.planners, self.border_samples, self.angular_step, self.grid_step,
+                        self.outage_step)
         if self.base_seed < 0:
             raise ValueError(f"base seed must be non-negative: {self.base_seed}")
 
@@ -160,7 +164,6 @@ def _endpoint_maps(scenario: Scenario, angular_step: float, border_samples: int)
     built, by station id, and the number of maps that hold the start and the
     goal.
     """
-    check_map_settings(angular_step, border_samples)
     reach = math.sqrt(coverage_disk_radius_sq(scenario.radio, LinkState.LOS)) + GEOM_EPS
     stations = scenario.base_stations
     centers = np.array([bs.xy for bs in stations]).reshape(-1, 2)
@@ -196,9 +199,8 @@ def evaluate_planners(
     stacked samples (``outage_fraction`` per trajectory, bit for bit). Wall
     times exclude the scoring and are cumulative over the stages a planner
     needs: the optimized planner's time includes coverage construction and
-    the base stage it refines. Raises ValueError for an unknown planner name
-    or a sampling step that is not finite and positive, whether or not any
-    planner finds a path.
+    the base stage it refines. Raises ValueError, before any planner runs,
+    for every setting ``MonteCarloConfig`` rejects (``_check_settings``).
 
     The graph planners skip work that cannot change their answer. The maps
     come in three ``build_coverage_maps`` batches, none rebuilding a station:
@@ -212,8 +214,7 @@ def evaluate_planners(
     count the refined graph, not the sequence-free A* search, which prunes
     its points to those that could beat the refined path.
     """
-    _check_planners(planners)
-    _check_step(outage_step)
+    _check_settings(planners, border_samples, angular_step, grid_step, outage_step)
     wanted = [p for p in PLANNER_ORDER if p in planners]
     # planner -> (trajectory or None, nodes, edges, wall_ms, note)
     planned: dict[str, tuple] = {}

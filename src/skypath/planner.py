@@ -12,11 +12,10 @@ shorter of that path and an exact A* over the same kind of points with no
 station sequence, whose edges are verified the same way when the search first
 needs them.
 
-Both graphs are node tables (``PlanGraph.xy``) with edge lists. Every segment
-check (refined shortcuts, A* edges, ``segments_in_coverage``) passes (u, v,
-map) triples to ``_members``, which makes one ``points_in_coverage`` call for
-all its (node, map) pairs, and ``_segments_clear``. The maps holding the
-mission endpoints come from one such call as well.
+This module holds the graphs and searches; point and segment membership
+live in ``coverage``. Both graphs are node tables (``PlanGraph.xy``) with
+edge lists. Every segment check (refined shortcuts, A* edges) passes (u, v,
+map) triples to ``coverage._members`` and ``coverage._segments_clear``.
 """
 
 from __future__ import annotations
@@ -27,12 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .coverage import CoverageMap, network_covered, points_in_coverage
-from .geometry import GEOM_EPS, TWO_PI, Point3
+from .coverage import CoverageMap, _members, _segments_clear, network_covered, points_in_coverage
+from .coverage import line_in_coverage, segments_in_coverage  # bound here under their old names
+from .geometry import GEOM_EPS, Point3
 from .scenario import InvalidConfigError, Mission, Scenario
 
 GRID_STEP = 10.0
@@ -362,151 +362,6 @@ def base_trajectory(
 # ---------------------------------------------------------------------------
 # refined graph + optimized trajectory
 # ---------------------------------------------------------------------------
-
-
-# (segment, jump) pairs that _jumps_clear holds in memory at once
-SWEEP_BATCH = 100_000
-
-
-def _jump_table(covs: Sequence[CoverageMap]):
-    """The jumps of R for several maps in one sorted array.
-
-    Map m's jump angles sit at offset 4*pi*m and are listed twice, the
-    second time shifted by 2*pi, so that a swept azimuth range that wraps
-    past 2*pi is one slice. Returns (angles, cos, sin, before, after).
-    """
-    steps = [cov.radius_steps for cov in covs]
-    counts = np.array([j.size for j, _, _ in steps], dtype=int)
-    # slot k of map m's block: jump k % c_m of the map, shifted when k >= c_m
-    m = np.repeat(np.arange(counts.size), 2 * counts)
-    first, size = (np.repeat(a, 2 * counts) for a in (np.cumsum(counts) - counts, counts))
-    k = np.arange(m.size) - 2 * first
-    jumps, before, after = (np.concatenate(a)[first + k % size] for a in zip(*steps))
-    angles = np.where(k < size, jumps, jumps + TWO_PI) + 2.0 * TWO_PI * m
-    return angles, np.cos(jumps), np.sin(jumps), before, after
-
-
-def _polar(points: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets of points (n, 2) from their map apexes, with azimuths and radii."""
-    a = points - centers
-    return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
-
-
-def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
-    """True where segment i crosses each jump of map which[i] inside R.
-
-    Segment i runs along d[i] = p1[i] - p0[i]; end0 and end1 are ``_polar``
-    of p0 and p1 about that map's apex, and both ends must lie in the map.
-    Along a segment, the distance from the apex, r(theta) = h / cos(theta -
-    phi), is convex in the azimuth, so on each piece of the step function R it
-    peaks at an end of the piece: the segment is inside iff it is inside R on
-    both sides of every jump it crosses. Points within GEOM_EPS of a jump's
-    ray count as covered by either side, as in ``points_in_coverage``, so
-    each side is checked where the segment leaves that band.
-    """
-    angles, cos_j, sin_j, before, after = table
-    (a, ta, ra), (b, tb, rb) = end0, end1
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    # a segment in line with the apex lies along its endpoints' rays
-    radial = np.abs(cross) <= GEOM_EPS * np.hypot(d[:, 0], d[:, 1])
-    ccw = cross >= 0.0  # the azimuth grows from p0 to p1
-    lo = np.where(ccw, ta, tb) % TWO_PI
-    width = (np.where(ccw, tb, ta) - lo) % TWO_PI
-    width[width > math.pi] = 0.0  # a rounded zero sweep
-    # an endpoint at radius r reaches the GEOM_EPS band of jumps up to
-    # GEOM_EPS / r outside the swept range
-    near = np.minimum(ra, rb)
-    pad = np.minimum(GEOM_EPS / np.maximum(near, GEOM_EPS), 0.5) + 1e-12
-    lo = np.where(lo < pad, lo + TWO_PI, lo) + 2.0 * TWO_PI * which
-    i0 = np.searchsorted(angles, lo - pad, side="left")
-    count = np.where(radial, 0, np.searchsorted(angles, lo + width + pad, side="right") - i0)
-
-    ok = np.ones(a.shape[0], dtype=bool)
-    rows = np.flatnonzero(count)
-    if rows.size == 0:
-        return ok
-    ends = np.cumsum(count[rows])
-    for seg in np.split(rows, np.searchsorted(ends, np.arange(SWEEP_BATCH, ends[-1], SWEEP_BATCH))):
-        n = count[seg]
-        pair = np.repeat(seg, n)
-        k = np.repeat(i0[seg] - np.cumsum(n) + n, n) + np.arange(pair.size)
-        ax, ay = a[pair, 0], a[pair, 1]
-        dx, dy = d[pair, 0], d[pair, 1]
-        # signed distance of p0 from the jump's line, > 0 on the side after
-        # the jump, and its change along the segment
-        h0 = cos_j[k] * ay - sin_j[k] * ax
-        dh = cos_j[k] * dy - sin_j[k] * dx
-        step = np.where(dh == 0.0, 1.0, dh)
-        bad = np.zeros(pair.size, dtype=bool)
-        for sign, reach in ((1.0, after[k]), (-1.0, before[k])):
-            h1 = sign * h0
-            h2 = h1 + sign * dh
-            leaves = (np.maximum(h1, h2) > GEOM_EPS) & (np.minimum(h1, h2) <= GEOM_EPS)
-            t = np.where(leaves, (GEOM_EPS - h1) / (sign * step), 0.0)
-            bad |= leaves & ((ax + t * dx) ** 2 + (ay + t * dy) ** 2 > (reach + GEOM_EPS) ** 2)
-        ok[pair[bad]] = False
-    return ok
-
-
-class _Members(NamedTuple):
-    """Which nodes lie in which maps, for ``_segments_clear``."""
-
-    slot: np.ndarray  # (maps, nodes): the (node, map) pair's slot, -1 when not a member
-    polar: tuple  # ``_polar`` of each slot's node about its map's apex
-    table: tuple  # ``_jump_table`` of the maps
-
-
-def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
-             which: np.ndarray) -> _Members:
-    """Membership and polar offsets of the nodes xy[node[i]] in maps covs[which[i]].
-
-    The (node, map) pairs are sorted by map, then node, with no repeats, so
-    each map's members take consecutive slots, and each pair is computed once
-    however many segments end at it.
-    """
-    inside = points_in_coverage(xy, covs, node, which)
-    node, which = node[inside], which[inside]
-    slot = np.full((len(covs), xy.shape[0]), -1)
-    slot[which, node] = np.arange(node.size)
-    centers = np.array([cov.center for cov in covs], dtype=float).reshape(-1, 2)
-    return _Members(slot, _polar(xy[node], centers[which]), _jump_table(covs))
-
-
-def _segments_clear(xy: np.ndarray, members: _Members, u: np.ndarray, v: np.ndarray,
-                    which: np.ndarray) -> np.ndarray:
-    """True where the segment xy[u[i]]-xy[v[i]] lies in map which[i]: both
-    ends are members of that map and the segment crosses each of its jumps
-    inside R (``_jumps_clear``)."""
-    # flat indices into the (maps, nodes) table index faster than 2-D ones
-    offset = which * members.slot.shape[1]
-    tail, head = members.slot.ravel()[offset + u], members.slot.ravel()[offset + v]
-    ok = (tail >= 0) & (head >= 0)
-    rows = slice(None) if ok.all() else np.flatnonzero(ok)
-    tail, head, u, v, which = (a[rows] for a in (tail, head, u, v, which))
-    if which.size:
-        ok[rows] = _jumps_clear(xy[v] - xy[u], tuple(a[tail] for a in members.polar),
-                                tuple(a[head] for a in members.polar), which, members.table)
-    return ok
-
-
-def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np.ndarray:
-    """Batched exact test: does segment p0[i]-p1[i] lie in the wedge union?
-
-    The union is {r <= R(theta)} around the station projection, with R the
-    step function ``CoverageMap.radius_steps``; a segment lies in it iff both
-    endpoints do and it crosses every jump of R inside R (``_jumps_clear``).
-    """
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    xy = np.vstack([p0, np.atleast_2d(np.asarray(p1, dtype=float))])
-    n = p0.shape[0]
-    ends = np.arange(2 * n)
-    members = _members(xy, [cov], ends, np.zeros_like(ends))
-    return _segments_clear(xy, members, ends[:n], ends[n:], np.zeros(n, dtype=int))
-
-
-def line_in_coverage(x, y, cov: CoverageMap) -> bool:
-    """True iff the whole segment xy lies in the wedge union of one map."""
-    return bool(segments_in_coverage(x, y, cov)[0])
 
 
 def build_refined_graph(

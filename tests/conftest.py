@@ -496,11 +496,11 @@ def free_search_oracle(scenario, maps, commons, bound):
     apex recomputed at every expansion.
 
     Same nodes, edges, heuristic and tie order; only the jump kernel
-    ``planner._jumps_clear`` is shared.
+    ``coverage._jumps_clear`` is shared.
     """
     from heapq import heappop, heappush
 
-    from skypath.planner import _jump_table, _jumps_clear
+    from skypath.coverage import _jump_table, _jumps_clear
 
     def polar(points, centers):
         a = points - centers

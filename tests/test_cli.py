@@ -222,25 +222,36 @@ class TestMonteCarlo:
                  "--out-dir", tmp_path, "--trials", 1, "--planners", "teleport"])
 
 
+# Every case has a fixed id, so a case added anywhere renames no other; the
+# "<command>-extra<n>" ids are the positional names the first cases ran under.
 @pytest.mark.parametrize("command, extra", [
-    ("plan", ["--angular-step-deg", 7]),
-    ("plan", ["--q", 0]),
-    ("eval", ["--angular-step-deg", 7]),
-    ("eval", ["--outage-step", 0]),
-    ("montecarlo", ["--trials", 0]),
-    ("montecarlo", ["--q", 0]),
-    ("montecarlo", ["--grid-step", 0]),
-    ("montecarlo", ["--outage-step", 0]),
+    pytest.param("plan", ["--angular-step-deg", 7], id="plan-extra0"),
+    pytest.param("plan", ["--q", 0], id="plan-extra1"),
+    pytest.param("eval", ["--angular-step-deg", 7], id="eval-extra2"),
+    pytest.param("eval", ["--outage-step", 0], id="eval-extra3"),
+    pytest.param("montecarlo", ["--trials", 0], id="montecarlo-extra4"),
+    pytest.param("montecarlo", ["--q", 0], id="montecarlo-extra5"),
+    pytest.param("montecarlo", ["--grid-step", 0], id="montecarlo-extra6"),
+    pytest.param("montecarlo", ["--outage-step", 0], id="montecarlo-extra7"),
 ] + [
     # zero and non-finite steps
-    (command, [flag, value, *(["--trials", 1] if command == "montecarlo" else [])])
-    for command, flag in [("plan", "--angular-step-deg"), ("plan", "--grid-step"),
-                          ("eval", "--angular-step-deg"), ("eval", "--grid-step"),
-                          ("eval", "--outage-step"), ("montecarlo", "--angular-step-deg"),
-                          ("montecarlo", "--grid-step"), ("montecarlo", "--outage-step")]
-    for value in ("0", "nan", "inf")
+    pytest.param(command, [flag, value, *(["--trials", 1] if command == "montecarlo" else [])],
+                 id=f"{command}-extra{n}")
+    for n, (command, flag, value) in enumerate(
+        ((command, flag, value)
+         for command, flag in [("plan", "--angular-step-deg"), ("plan", "--grid-step"),
+                               ("eval", "--angular-step-deg"), ("eval", "--grid-step"),
+                               ("eval", "--outage-step"), ("montecarlo", "--angular-step-deg"),
+                               ("montecarlo", "--grid-step"), ("montecarlo", "--outage-step")]
+         for value in ("0", "nan", "inf")), start=8)
 ] + [
-    ("montecarlo", ["--base-seed", -3]),
+    pytest.param("montecarlo", ["--base-seed", -3], id="montecarlo-extra32"),
+] + [
+    # settings that no chosen planner reads are checked as montecarlo checks them
+    pytest.param(command, ["--planners", "straight", flag, value],
+                 id=f"{command}-straight-{flag[2:]}-{value}")
+    for command in ("plan", "eval")
+    for flag, value in (("--q", "0"), ("--grid-step", "0"), ("--grid-step", "nan"))
 ])
 def test_rejected_call_leaves_no_out_dir(tmp_path, open_field_file, capsys, command, extra):
     # montecarlo rejects settings every trial would fail on rather than

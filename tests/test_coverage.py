@@ -14,6 +14,8 @@ from skypath.coverage import (
     _cells_to_wedges,
     _certified_cell_radii,
     _first_blocking_radius,
+    _jump_table,
+    _radius_steps,
     build_all_coverage,
     build_coverage_map,
     build_coverage_maps,
@@ -686,7 +688,7 @@ class TestWedgeArrays:
             for start, end, radius in zip(cov.starts, cov.ends, cov.radii):
                 held = (theta >= start) & (theta < end)
                 lookup = np.where(held, np.maximum(lookup, radius), lookup)
-            jumps, before, after = cov.radius_steps
+            jumps, before, after = _steps_alone(cov)
             if jumps.size == 0:
                 assert (lookup == lookup[0]).all()
                 continue
@@ -717,7 +719,7 @@ class TestWedgeArrays:
         edge = 1.0
         cov = CoverageMap(1, (0.0, 0.0), [0.0, edge], [edge + 4e-16, 2.0], [10.0, 20.0],
                           np.empty((0, 2)))
-        jumps, before, after = cov.radius_steps
+        jumps, before, after = _steps_alone(cov)
         # the two edges of the joint are one jump, at the smaller angle
         assert jumps.tolist() == [0.0, edge, 2.0]
         assert before.tolist() == [0.0, 10.0, 20.0]
@@ -879,6 +881,64 @@ QS = [1, 4, 64, 257]
 TAU = 2 * math.pi
 
 
+def _steps_alone(cov):
+    """``_radius_steps`` of one map: its jump angles, R before and R after."""
+    return _radius_steps(cov.starts, cov.ends, cov.radii, [cov.radii.size])[:3]
+
+
+class TestStackedRadiusSteps:
+    """``_radius_steps`` on a stack of maps, as ``_jump_table`` calls it,
+    against the per-map calls concatenated."""
+
+    @staticmethod
+    def _hand_built():
+        return [
+            _wedge_map([0.5, 2.0], [1.5, 3.0], [40.0, 40.0]),                  # one radius, a gap
+            _wedge_map([0.0, math.pi], [math.pi, TAU], [25.0, 25.0]),          # no jump at all
+            _wedge_map([1.0, 4.0, 5.0], [3.0, 5.0, TAU], [10.0, 30.0, 20.0]),  # last ends at 2*pi
+            _wedge_map([0.0, 1.0], [1.0 + 4e-16, 2.0], [10.0, 20.0], center=(3.0, -4.0)),  # joint
+            _wedge_map([], [], []),
+        ]
+
+    @staticmethod
+    def _check(maps):
+        stacked = _radius_steps(*(np.concatenate([getattr(cov, a) for cov in maps])
+                                  for a in ("starts", "ends", "radii")),
+                                [cov.radii.size for cov in maps])
+        alone = [_radius_steps(cov.starts, cov.ends, cov.radii, [cov.radii.size]) for cov in maps]
+        for i, got in enumerate(stacked):
+            assert_bitwise(got, np.concatenate([steps[i] for steps in alone]))
+        # the jump table reads the same steps, each map at its 4*pi offset
+        table = _jump_table(maps)
+        per_map = [_jump_table([cov]) for cov in maps]
+        assert_bitwise(table[0], np.concatenate([t[0] + 2.0 * TAU * m
+                                                 for m, t in enumerate(per_map)]))
+        for i in range(1, 5):
+            assert_bitwise(table[i], np.concatenate([t[i] for t in per_map]))
+        return stacked
+
+    def test_hand_built_maps(self):
+        maps = self._hand_built()
+        *_, counts = self._check(maps)
+        assert counts.tolist() == [4, 0, 5, 3, 0]
+        jumps, before, after = _steps_alone(maps[2])
+        # the gap after the wedge ending at 2*pi starts at angle 0 and goes first
+        assert jumps.tolist() == [0.0, 1.0, 3.0, 4.0, 5.0]
+        assert before.tolist() == [20.0, 0.0, 10.0, 0.0, 30.0]
+        assert after.tolist() == [0.0, 10.0, 0.0, 30.0, 20.0]
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    def test_built_maps_with_hand_built_ones(self, seed):
+        from skypath.scenario import build_default_scenario, place_base_stations
+
+        base = build_default_scenario(seed=1, k=25)
+        stations = place_base_stations(base.city, k=25, h_g=base.radio.bs_height, seed=seed)
+        maps = build_coverage_maps(stations, base.city, base.radio)
+        assert not any(hasattr(cov, "radius_steps") for cov in maps)
+        hand = self._hand_built()
+        self._check(hand[:2] + maps[:12] + hand[2:] + maps[12:])
+
+
 class TestBorderWalkFromArrays:
     """The array border walk against the item-by-item walk."""
 
@@ -951,21 +1011,13 @@ class TestBatchBuilder:
 
     @staticmethod
     def _check(stations, city, params, **settings):
-        from skypath.coverage import CoverageMap
-
         batch = build_coverage_maps(stations, city, params, **settings)
         assert [cov.bs_id for cov in batch] == [bs.id for bs in stations]
         for got, bs in zip(batch, stations):
             alone = build_coverage_maps([bs], city, params, **settings)[0]
             assert got.center == bs.xy == alone.center
-            for a, b in zip((got.starts, got.ends, got.radii, got.border_points, *got.radius_steps),
-                            (alone.starts, alone.ends, alone.radii, alone.border_points,
-                             *alone.radius_steps)):
-                assert_bitwise(a, b)
-            # the steps the batch stores equal those a map computes from its wedges
-            rebuilt = CoverageMap(got.bs_id, got.center, got.starts, got.ends, got.radii,
-                                  got.border_points)
-            for a, b in zip(got.radius_steps, rebuilt.radius_steps):
+            for a, b in zip((got.starts, got.ends, got.radii, got.border_points),
+                            (alone.starts, alone.ends, alone.radii, alone.border_points)):
                 assert_bitwise(a, b)
         return batch
 

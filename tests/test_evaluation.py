@@ -345,6 +345,20 @@ class TestEndpointFirst:
         with pytest.raises(InvalidConfigError):
             evaluate_planners(scn, planners=("base",), angular_step=0.7)
 
+    @pytest.mark.parametrize("bad", [
+        {"border_samples": 0}, {"angular_step": 0.1}, {"angular_step": 0.0},
+        {"grid_step": 0.0}, {"grid_step": math.nan}, {"outage_step": 0.0},
+    ])
+    def test_settings_are_checked_as_montecarlo_checks_them(self, bad):
+        # the straight line reads no map or grid setting; a Monte Carlo with
+        # the same settings is refused before its first trial
+        scn = open_field_scenario([(1000.0, 1000.0)])
+        with pytest.raises(ValueError) as lib:
+            evaluate_planners(scn, planners=("straight",), **bad)
+        with pytest.raises(ValueError) as mc:
+            MonteCarloConfig(trials=1, planners=("straight",), **bad)
+        assert (type(lib.value), str(lib.value)) == (type(mc.value), str(mc.value))
+
     def test_unknown_planner_raises(self):
         scn = build_default_scenario(seed=1)
         with pytest.raises(ValueError, match=r"unknown planners: \['optimised'\]"):
