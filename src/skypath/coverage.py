@@ -38,9 +38,9 @@ its wedges and its border, equals the one built alone, bit for bit.
 alone applies the reach rule (no map holds a point beyond its largest radius
 plus GEOM_EPS); the common borders of all station pairs take one such call,
 and each pair's border is an (N, 2) array of points keyed by its station ids.
-``_segments_clear`` answers (segment, map) rows: both ends by that call, then
-every jump of R a segment crosses, from one ``_radius_steps`` call over the
-maps' stacked wedges.
+``_slots_clear`` answers (tail, head, map) rows of member slots, numbered by
+that call (``_members``), by every jump of R a segment crosses, from one
+``_radius_steps`` call over the maps' stacked wedges.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ AZIMUTH_GUARD = 1e-9
 # (azimuth, building) pairs per batch of the blocking sweep; small enough to
 # keep the batch's temporaries in cache.
 SWEEP_BATCH = 16_384
-# (segment, jump) pairs that ``_jumps_clear`` holds in memory at once.
+# (segment, jump) pairs that ``_slots_clear`` holds in memory at once.
 JUMP_BATCH = 100_000
 
 
@@ -454,7 +454,7 @@ def _certified_cell_radii(centers, city: CityMap, params: RadioParams, n_cells: 
     Why the slack is safe: point membership (``points_in_coverage``) claims
     p = (r, phi) up to GEOM_EPS / r rad past a wedge's edge e (a cell edge,
     unless the next wedge, of equal radius, covers phi), segment membership
-    (``_jumps_clear``) up to GEOM_EPS from e's ray: delta = phi - e <=
+    (``_slots_clear``) up to GEOM_EPS from e's ray: delta = phi - e <=
     asin(GEOM_EPS / r), r <= cert_c - RADIUS_SAFETY + GEOM_EPS for the wedge's
     cell c at e, and r > r_nlos, or p is covered. Let building b block p,
     entering at q: factor * |q| <= r. Points x between the rays e and phi with
@@ -637,7 +637,8 @@ def _jump_table(covs: Sequence[CoverageMap]):
 
     Map m's jump angles sit at offset 4*pi*m and are listed twice, the
     second time shifted by 2*pi, so that a swept azimuth range that wraps
-    past 2*pi is one slice. Returns (angles, cos, sin, before, after).
+    past 2*pi is one slice. Returns (angles, cos, sin, before, after), with
+    (R + GEOM_EPS)**2 before and after each jump, membership's squared reach.
     """
     wedges = (np.concatenate([getattr(cov, name) for cov in covs])
               for name in ("starts", "ends", "radii"))
@@ -648,20 +649,37 @@ def _jump_table(covs: Sequence[CoverageMap]):
     k = np.arange(m.size) - 2 * first
     jumps, before, after = (a[first + k % size] for a in steps)
     angles = np.where(k < size, jumps, jumps + TWO_PI) + 2.0 * TWO_PI * m
-    return angles, np.cos(jumps), np.sin(jumps), before, after
+    return angles, np.cos(jumps), np.sin(jumps), (before + GEOM_EPS) ** 2, (after + GEOM_EPS) ** 2
 
 
-def _polar(points: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets of points (n, 2) from their map apexes, with azimuths and radii."""
-    a = points - centers
-    return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
+# Which nodes lie in which maps, for ``_slots_clear``: slot (maps, nodes) holds
+# each (node, map) pair's slot, -1 when not a member; node, x, y, az and r hold
+# each slot's node and its offset, azimuth and radius about its map's apex.
+_Members = namedtuple("_Members", "slot node x y az r table")
 
 
-def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
-    """True where segment i crosses each jump of map which[i] inside R.
+def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
+             which: np.ndarray) -> _Members:
+    """Slots of the nodes xy[node[i]] that lie in maps covs[which[i]].
 
-    Segment i runs along d[i] = p1[i] - p0[i]; end0 and end1 are ``_polar``
-    of p0 and p1 about that map's apex, and both ends must lie in the map.
+    The (node, map) pairs are sorted by map, then node, with no repeats, so
+    each map's members take consecutive slots, and each slot's polar offset
+    is computed once however many segments end at it.
+    """
+    inside = points_in_coverage(xy, covs, node, which)
+    node, which = node[inside], which[inside]
+    slot = np.full((len(covs), xy.shape[0]), -1)
+    slot[which, node] = np.arange(node.size)
+    centers = np.array([cov.center for cov in covs], dtype=float).reshape(-1, 2)
+    x, y = (xy[node, i] - centers[which, i] for i in (0, 1))
+    return _Members(slot, node, x, y, np.arctan2(y, x), np.hypot(x, y), _jump_table(covs))
+
+
+def _slots_clear(xy: np.ndarray, members: _Members, tail: np.ndarray, head: np.ndarray,
+                 which: np.ndarray) -> np.ndarray:
+    """True where the segment from the node of slot tail[i] to that of slot
+    head[i] lies in map which[i]; both must be slots of that map.
+
     Along a segment, the distance from the apex, r(theta) = h / cos(theta -
     phi), is convex in the azimuth, so on each piece of the step function R it
     peaks at an end of the piece: the segment is inside iff it is inside R on
@@ -669,87 +687,64 @@ def _jumps_clear(d, end0, end1, which, table) -> np.ndarray:
     ray count as covered by either side, as in ``points_in_coverage``, so
     each side is checked where the segment leaves that band.
     """
-    angles, cos_j, sin_j, before, after = table
-    (a, ta, ra), (b, tb, rb) = end0, end1
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    angles, cos_j, sin_j, before, after = members.table
+    u, v = members.node[tail], members.node[head]
+    dx, dy = xy[:, 0][v] - xy[:, 0][u], xy[:, 1][v] - xy[:, 1][u]
+    ax, ay, bx, by = members.x[tail], members.y[tail], members.x[head], members.y[head]
+    ta, tb, ra, rb = members.az[tail], members.az[head], members.r[tail], members.r[head]
+    cross = ax * by - ay * bx
     # a segment in line with the apex lies along its endpoints' rays
-    radial = np.abs(cross) <= GEOM_EPS * np.hypot(d[:, 0], d[:, 1])
-    ccw = cross >= 0.0  # the azimuth grows from p0 to p1
+    radial = np.abs(cross) <= GEOM_EPS * np.hypot(dx, dy)
+    ccw = cross >= 0.0  # the azimuth grows from tail to head
     lo = np.where(ccw, ta, tb) % TWO_PI
     width = (np.where(ccw, tb, ta) - lo) % TWO_PI
     width[width > math.pi] = 0.0  # a rounded zero sweep
     # an endpoint at radius r reaches the GEOM_EPS band of jumps up to
     # GEOM_EPS / r outside the swept range
-    near = np.minimum(ra, rb)
-    pad = np.minimum(GEOM_EPS / np.maximum(near, GEOM_EPS), 0.5) + 1e-12
+    pad = np.minimum(GEOM_EPS / np.maximum(np.minimum(ra, rb), GEOM_EPS), 0.5) + 1e-12
     lo = np.where(lo < pad, lo + TWO_PI, lo) + 2.0 * TWO_PI * which
     i0 = np.searchsorted(angles, lo - pad, side="left")
     count = np.where(radial, 0, np.searchsorted(angles, lo + width + pad, side="right") - i0)
 
-    ok = np.ones(a.shape[0], dtype=bool)
+    ok = np.ones(tail.size, dtype=bool)
     rows = np.flatnonzero(count)
     if rows.size == 0:
         return ok
     ends = np.cumsum(count[rows])
-    for seg in np.split(rows, np.searchsorted(ends, np.arange(JUMP_BATCH, ends[-1], JUMP_BATCH))):
+    batches = [rows] if ends[-1] <= JUMP_BATCH else np.split(
+        rows, np.searchsorted(ends, np.arange(JUMP_BATCH, ends[-1], JUMP_BATCH)))
+    for seg in batches:
         n = count[seg]
         pair = np.repeat(seg, n)
         k = np.repeat(i0[seg] - np.cumsum(n) + n, n) + np.arange(pair.size)
-        ax, ay = a[pair, 0], a[pair, 1]
-        dx, dy = d[pair, 0], d[pair, 1]
-        # signed distance of p0 from the jump's line, > 0 on the side after
-        # the jump, and its change along the segment
-        h0 = cos_j[k] * ay - sin_j[k] * ax
-        dh = cos_j[k] * dy - sin_j[k] * dx
+        px, py, qx, qy = ax[pair], ay[pair], dx[pair], dy[pair]
+        c, s = cos_j[k], sin_j[k]
+        # signed distance of the tail from the jump's line, > 0 after the jump,
+        # and its change along the segment; the side before negates both, exactly
+        h0 = c * py - s * px
+        dh = c * qy - s * qx
         step = np.where(dh == 0.0, 1.0, dh)
-        bad = np.zeros(pair.size, dtype=bool)
-        for sign, reach in ((1.0, after[k]), (-1.0, before[k])):
-            h1 = sign * h0
-            h2 = h1 + sign * dh
-            leaves = (np.maximum(h1, h2) > GEOM_EPS) & (np.minimum(h1, h2) <= GEOM_EPS)
-            t = np.where(leaves, (GEOM_EPS - h1) / (sign * step), 0.0)
-            bad |= leaves & ((ax + t * dx) ** 2 + (ay + t * dy) ** 2 > (reach + GEOM_EPS) ** 2)
+        h1 = h0 + dh
+        low, high = np.minimum(h0, h1), np.maximum(h0, h1)
+        leaves = (high > GEOM_EPS) & (low <= GEOM_EPS)
+        t = np.where(leaves, (GEOM_EPS - h0) / step, 0.0)
+        bad = leaves & ((px + t * qx) ** 2 + (py + t * qy) ** 2 > after[k])
+        leaves = (low < -GEOM_EPS) & (high >= -GEOM_EPS)
+        t = np.where(leaves, (GEOM_EPS + h0) / step, 0.0)
+        bad |= leaves & ((px - t * qx) ** 2 + (py - t * qy) ** 2 > before[k])
         ok[pair[bad]] = False
     return ok
-
-
-# Which nodes lie in which maps, for ``_segments_clear``: slot (maps, nodes)
-# holds each (node, map) pair's slot, -1 when not a member; polar is
-# ``_polar`` of each slot's node about its map's apex; table is the maps'
-# ``_jump_table``.
-_Members = namedtuple("_Members", "slot polar table")
-
-
-def _members(xy: np.ndarray, covs: Sequence[CoverageMap], node: np.ndarray,
-             which: np.ndarray) -> _Members:
-    """Membership and polar offsets of the nodes xy[node[i]] in maps covs[which[i]].
-
-    The (node, map) pairs are sorted by map, then node, with no repeats, so
-    each map's members take consecutive slots, and each pair is computed once
-    however many segments end at it.
-    """
-    inside = points_in_coverage(xy, covs, node, which)
-    node, which = node[inside], which[inside]
-    slot = np.full((len(covs), xy.shape[0]), -1)
-    slot[which, node] = np.arange(node.size)
-    centers = np.array([cov.center for cov in covs], dtype=float).reshape(-1, 2)
-    return _Members(slot, _polar(xy[node], centers[which]), _jump_table(covs))
 
 
 def _segments_clear(xy: np.ndarray, members: _Members, u: np.ndarray, v: np.ndarray,
                     which: np.ndarray) -> np.ndarray:
     """True where the segment xy[u[i]]-xy[v[i]] lies in map which[i]: both
-    ends are members of that map and the segment crosses each of its jumps
-    inside R (``_jumps_clear``)."""
+    ends are slots of that map, and ``_slots_clear`` passes them."""
     # flat indices into the (maps, nodes) table index faster than 2-D ones
     offset = which * members.slot.shape[1]
     tail, head = members.slot.ravel()[offset + u], members.slot.ravel()[offset + v]
     ok = (tail >= 0) & (head >= 0)
-    rows = slice(None) if ok.all() else np.flatnonzero(ok)
-    tail, head, u, v, which = (a[rows] for a in (tail, head, u, v, which))
-    if which.size:
-        ok[rows] = _jumps_clear(xy[v] - xy[u], tuple(a[tail] for a in members.polar),
-                                tuple(a[head] for a in members.polar), which, members.table)
+    ok[ok] = _slots_clear(xy, members, tail[ok], head[ok], which[ok])
     return ok
 
 
@@ -759,7 +754,7 @@ def segments_in_coverage(p0: np.ndarray, p1: np.ndarray, cov: CoverageMap) -> np
     The union is {r <= R(theta)} around the station projection, with R the
     step function of the wedges (``_radius_steps``); a segment lies in it iff
     both endpoints do and it crosses every jump of R inside R
-    (``_jumps_clear``).
+    (``_slots_clear``).
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     xy = np.vstack([p0, np.atleast_2d(np.asarray(p1, dtype=float))])

@@ -14,8 +14,8 @@ needs them.
 
 This module holds the graphs and searches; point and segment membership
 live in ``coverage``. Both graphs are node tables (``PlanGraph.xy``) with
-edge lists. Every segment check (refined shortcuts, A* edges) passes (u, v,
-map) triples to ``coverage._members`` and ``coverage._segments_clear``.
+edge lists. Every segment check runs on the (node, map) slots that
+``coverage._members`` numbers, in ``coverage._slots_clear``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coverage import CoverageMap, _members, _segments_clear, network_covered, points_in_coverage
+from .coverage import (CoverageMap, _members, _segments_clear, _slots_clear, network_covered,
+                       points_in_coverage)
 from .coverage import line_in_coverage, segments_in_coverage  # bound here under their old names
 from .geometry import GEOM_EPS, Point3
 from .scenario import InvalidConfigError, Mission, Scenario
@@ -427,30 +428,35 @@ def _free_search(
     the segment between them stays in that map, as ``segments_in_coverage``
     decides. An edge is checked only when its tail is expanded, together with
     the tail's other edges, and only toward nodes whose Euclidean lower bound
-    stays below ``bound``; each node's membership and polar offsets in each
-    map are computed once, before the search (``_members``). The Euclidean
+    stays below ``bound``; each is a pair of ``_members`` slots of one map,
+    numbered with their polar offsets before the search. The Euclidean
     heuristic is consistent, so each node is expanded once. Returns the
     waypoints of the shortest path, or None when no path is shorter than
     ``bound``.
     """
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
-    borders = [commons[pair] for pair in sorted(commons)]
-    xy = _node_table(mission, [maps[k].center for k in stations],
-                     [np.unique(np.vstack(borders), axis=0)] if borders else [])
+    points = np.vstack([commons[pair] for pair in sorted(commons)] or [np.empty((0, 2))])
+    xy = _node_table(mission, [maps[k].center for k in stations], [points])
     to_goal = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
     from_start = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
     live = from_start + to_goal < bound * (1.0 + 1e-9)
     if not live[-1]:
         return None
-    xy, to_goal = xy[live], to_goal[live]
+    # the distinct kept border points; the test keeps all copies of a point or none
+    first = 1 + len(stations)
+    kept = first + np.flatnonzero(live[first:-1])
+    _, distinct = np.unique(xy[kept], axis=0, return_index=True)
+    nodes = np.concatenate([np.flatnonzero(live[:first]), kept[distinct], [xy.shape[0] - 1]])
+    xy, to_goal = xy[nodes], to_goal[nodes]
+    xs, ys = xy[:, 0], xy[:, 1]
     n = xy.shape[0]
     goal = n - 1
     members = _members(xy, [maps[k] for k in stations], np.tile(np.arange(n), len(stations)),
                        np.repeat(np.arange(len(stations)), n))
-    inside = members.slot >= 0
     # slot s: node slot_node[s] in map slot_map[s]; each map's slots form one run
-    slot_map, slot_node = np.nonzero(inside)
+    slot_map, slot_node = np.nonzero(members.slot >= 0)
+    own_maps = np.ascontiguousarray(members.slot.T >= 0)  # row u: the maps holding node u
     cuts = np.searchsorted(slot_map, np.arange(len(stations) + 1))
     runs = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     cost = np.full(n, math.inf)
@@ -465,16 +471,15 @@ def _free_search(
         closed[u] = True
         if u == goal:
             break
-        # every (neighbour, shared map) pair, checked in one batch
-        own = np.flatnonzero(inside[:, u])
-        slots = np.concatenate([runs[m] for m in own])
-        cand = slot_node[slots]
-        reach = cost[u] + np.hypot(xy[cand, 0] - xy[u, 0], xy[cand, 1] - xy[u, 1])
+        # every (u's slot, neighbour slot) pair of a shared map, in one batch
+        slots = np.concatenate([runs[m] for m in np.flatnonzero(own_maps[u])])
+        cand, which = slot_node[slots], slot_map[slots]
+        reach = cost[u] + np.hypot(xs[cand] - xs[u], ys[cand] - ys[u])
         keep = ~closed[cand] & (reach < cost[cand]) & (reach + to_goal[cand] < bound)
         if not keep.any():
             continue
-        cand, reach = cand[keep], reach[keep]
-        good = _segments_clear(xy, members, np.full(cand.size, u), cand, slot_map[slots[keep]])
+        cand, reach, head, which = cand[keep], reach[keep], slots[keep], which[keep]
+        good = _slots_clear(xy, members, members.slot[:, u][which], head, which)
         for v, c in zip(cand[good].tolist(), reach[good].tolist()):
             if c < cost[v]:
                 cost[v] = c

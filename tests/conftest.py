@@ -495,16 +495,19 @@ def free_search_oracle(scenario, maps, commons, bound):
     any pruning, with each node's offset, azimuth and radius about a map's
     apex recomputed at every expansion.
 
-    Same nodes, edges, heuristic and tie order; only the jump kernel
-    ``coverage._jumps_clear`` is shared.
+    Same nodes, edges, heuristic and tie order; only the slot kernel
+    ``coverage._slots_clear`` and its jump table are shared. Each expansion
+    gives the kernel slots of its own: u in each candidate's map, then the
+    candidates.
     """
     from heapq import heappop, heappush
 
-    from skypath.coverage import _jump_table, _jumps_clear
+    from skypath.coverage import _Members, _jump_table, _slots_clear
 
-    def polar(points, centers):
-        a = points - centers
-        return a, np.arctan2(a[:, 1], a[:, 0]), np.hypot(a[:, 0], a[:, 1])
+    def slots(nodes, centers):
+        a = xy[nodes] - centers
+        return _Members(None, nodes, a[:, 0], a[:, 1], np.arctan2(a[:, 1], a[:, 0]),
+                        np.hypot(a[:, 0], a[:, 1]), table)
 
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
@@ -543,10 +546,10 @@ def free_search_oracle(scenario, maps, commons, bound):
         if not keep.any():
             continue
         cand, which, reach = cand[keep], which[keep], reach[keep]
-        p0 = np.broadcast_to(xy[u], (cand.size, 2))
-        p1 = xy[cand]
-        good = _jumps_clear(p1 - p0, polar(p0, centers[which]), polar(p1, centers[which]),
-                            which, table)
+        m = cand.size
+        good = _slots_clear(xy, slots(np.concatenate([np.full(m, u), cand]),
+                                      np.tile(centers[which], (2, 1))),
+                            np.arange(m), np.arange(m, 2 * m), which)
         for v, c in zip(cand[good].tolist(), reach[good].tolist()):
             if c < cost[v]:
                 cost[v] = c

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skypath import planner
 from skypath.coverage import (
     CoverageMap,
+    _members,
+    _slots_clear,
     build_all_coverage,
     build_coverage_map,
     points_in_coverage,
@@ -317,6 +320,98 @@ class TestPrunedFreeSearch:
                 else:
                     assert got is not None and got.tobytes() == want.tobytes()
         assert searched >= 5
+
+    def test_hands_the_kernel_member_slots(self, planning_inputs, monkeypatch):
+        """The search checks no membership of its own: each tail is the
+        expanded node's slot in the segment's map and each head a
+        candidate's slot in that map, both taken from the member table."""
+        calls = []
+
+        def checked(xy, members, tail, head, which):
+            for slot in (tail, head):
+                assert (slot >= 0).all()
+                assert (members.slot[which, members.node[slot]] == slot).all()
+            assert np.unique(members.node[tail]).size == 1
+            calls.append(tail.size)
+            return _slots_clear(xy, members, tail, head, which)
+
+        monkeypatch.setattr(planner, "_slots_clear", checked)
+        for scn, maps, commons in planning_inputs:
+            try:
+                if base_trajectory(scn, maps, commons) is not None:
+                    _free_search(scn, maps, commons, math.inf)
+            except InfeasibleEndpointError:
+                continue
+        assert len(calls) > 100
+
+
+def _ray_points(xy, center, rng):
+    """Points on or within 1e-6 rad of the rays from ``center`` through xy."""
+    a = xy - center
+    turn = np.arctan2(a[:, 1], a[:, 0]) + rng.choice([0.0, 1e-12, -1e-9, 1e-6], xy.shape[0])
+    r = np.hypot(a[:, 0], a[:, 1]) * rng.uniform(0.05, 0.95, xy.shape[0])
+    return center + np.column_stack([r * np.cos(turn), r * np.sin(turn)])
+
+
+def _sweep_kinds(a, b, cov):
+    """Which of 'gap', 'radial' and 'wrap' segment a-b is about cov's apex:
+    some of its points lie at an azimuth no wedge spans, its ends lie within
+    1e-6 rad of one ray, or it crosses the ray at azimuth 0."""
+    pts = np.linspace(a, b, 400) - cov.center
+    az = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
+    spanned = ((az[:, None] - cov.starts) % (2.0 * math.pi) <= cov.ends - cov.starts).any(axis=1)
+    (ax, ay), (bx, by) = pts[0], pts[-1]
+    turn = abs(math.atan2(ax * by - ay * bx, ax * bx + ay * by))
+    wraps = bool((ay < 0.0 <= by or by < 0.0 <= ay) and ax - ay * (bx - ax) / (by - ay) > 0.0)
+    return {"gap": not spanned.all(), "radial": turn <= 1e-6, "wrap": wraps}
+
+
+class TestSlotKernel:
+    """``coverage._slots_clear`` against dense sampling, on (tail, head, map)
+    triples drawn from the members of default-city placements.
+
+    No default-city map has an azimuth gap, as R never falls below the NLoS
+    radius, so each map also comes with every fifth wedge removed. The
+    node table adds points on and near the rays through border points, so
+    that near-radial segments occur.
+    """
+
+    def test_matches_dense_sampling(self, planning_inputs):
+        rng = np.random.default_rng(21)
+        kinds = dict.fromkeys(["gap", "radial", "wrap", "inside", "outside"], 0)
+        for scn, maps, commons in planning_inputs[-3:]:
+            covs = [maps[k] for k in sorted(maps)][:8]
+            covs += [CoverageMap(cov.bs_id, cov.center, *(np.delete(getattr(cov, a), np.s_[::5])
+                                                          for a in ("starts", "ends", "radii")),
+                                 cov.border_points) for cov in covs]
+            border = np.unique(np.vstack(list(commons.values())), axis=0)
+            rays = [_ray_points(border, cov.center, rng) for cov in covs]
+            # nodes: the apexes, the border points, then their ray points about each apex
+            xy = np.vstack([[cov.center for cov in covs], border, *rays])
+            n, m, q = xy.shape[0], len(covs), border.shape[0]
+            members = _members(xy, covs, np.tile(np.arange(n), m), np.repeat(np.arange(m), n))
+            tail, head, which = [], [], []
+            for j in range(m):
+                own = members.slot[j][members.slot[j] >= 0]
+                tail.append(rng.choice(own, 30))
+                head.append(rng.choice(own, 30))
+                # a border point and a point near its ray about this map's apex
+                pairs = np.column_stack([members.slot[j, m:m + q],
+                                         members.slot[j, m + q * (1 + j):m + q * (2 + j)]])
+                pairs = pairs[(pairs >= 0).all(axis=1)][:20]
+                tail.append(pairs[:, 0])
+                head.append(pairs[:, 1])
+                which.append(np.full(tail[-2].size + pairs.shape[0], j))
+            tail, head, which = (np.concatenate(a) for a in (tail, head, which))
+            got = _slots_clear(xy, members, tail, head, which)
+            for t, h, j, ok in zip(tail, head, which, got.tolist()):
+                a, b, cov = xy[members.node[t]], xy[members.node[h]], covs[j]
+                if ok != sampled_line_in_coverage(a, b, cov, step=0.5):
+                    assert line_check_tie(a, b, cov, step=0.5)
+                for kind, hit in _sweep_kinds(a, b, cov).items():
+                    kinds[kind] += hit
+                kinds["inside" if ok else "outside"] += 1
+        assert min(kinds.values()) >= 20, kinds
 
 
 class TestLineInCoverage:
