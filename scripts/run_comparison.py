@@ -9,7 +9,7 @@ writes the trajectories, the coverage dump, and the scenario itself.
 import argparse
 from pathlib import Path
 
-from skypath.coverage import build_all_coverage, save_coverage_dump
+from skypath.coverage import build_coverage_maps, save_coverage_dump
 from skypath.evaluation import evaluate_planners
 from skypath.planner import save_trajectory
 from skypath.scenario import build_default_scenario, place_base_stations, save_scenario
@@ -51,8 +51,8 @@ def main() -> None:
         for name, traj in trajectories.items():
             if traj is not None:
                 save_trajectory(traj, args.out_dir / f"trajectory_{name}.json")
-        maps, _ = build_all_coverage(scenario)
-        save_coverage_dump(maps, args.out_dir / "coverage.json")
+        maps = build_coverage_maps(scenario.base_stations, scenario.city, scenario.radio)
+        save_coverage_dump({cov.bs_id: cov for cov in maps}, args.out_dir / "coverage.json")
         print(f"\nartifacts written to {args.out_dir}")
 
 

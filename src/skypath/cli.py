@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation
-from .coverage import ANGULAR_STEP, BORDER_SAMPLES, build_all_coverage, save_coverage_dump
+from .coverage import ANGULAR_STEP, BORDER_SAMPLES, build_coverage_maps, save_coverage_dump
 from .evaluation import (
     DEFAULT_PLANNERS,
     PLANNER_ORDER,
@@ -206,8 +206,9 @@ def cmd_plan(args) -> int:
         grid_step=args.grid_step,
     )
     if args.dump_coverage is not None:
-        maps, _ = build_all_coverage(scenario, angular_step=angular_step, border_samples=args.q)
-        save_coverage_dump(maps, args.dump_coverage)
+        maps = build_coverage_maps(scenario.base_stations, scenario.city, scenario.radio,
+                                   angular_step, args.q)
+        save_coverage_dump({cov.bs_id: cov for cov in maps}, args.dump_coverage)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     infeasible = False
     for r in reports:

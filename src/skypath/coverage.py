@@ -36,8 +36,8 @@ walk each run once over the stacked arrays of all of them, and each map,
 its wedges and its border, equals the one built alone, bit for bit.
 ``points_in_coverage`` answers any set of (point, map) rows in one call and
 alone applies the reach rule (no map holds a point beyond its largest radius
-plus GEOM_EPS); the common borders of all station pairs take one such call,
-and each pair's border is an (N, 2) array of points keyed by its station ids.
+plus GEOM_EPS); the common borders of all station pairs take one such call
+and stay stacked, pair by pair, in one table (``CommonBorders``).
 ``_slots_clear`` answers (tail, head, map) rows of member slots, numbered by
 that call (``_members``), by every jump of R a segment crosses, from one
 ``_radius_steps`` call over the maps' stacked wedges.
@@ -885,8 +885,12 @@ def _border_points(centers, starts: np.ndarray, ends: np.ndarray, radii: np.ndar
     return points, np.bincount(at, minlength=k)
 
 
-def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], np.ndarray]:
-    """Common borders of every overlapping pair of maps: (N, 2) point arrays keyed by station ids.
+# Common borders: pair t, of station ids pairs[t], holds points[cuts[t]:cuts[t + 1]].
+CommonBorders = namedtuple("CommonBorders", "points pairs cuts")
+
+
+def _common_borders(maps: list[CoverageMap]) -> CommonBorders:
+    """Common borders of every overlapping pair of maps, in (i, j) order, as one table.
 
     The pair (maps[i], maps[j]), i < j, keeps the border points of maps[i]
     inside maps[j], then those of maps[j] inside maps[i]; pairs that share no
@@ -894,7 +898,7 @@ def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], np.ndarray
     the sum of their largest radii plus GEOM_EPS, found by one (K, K) test.
     Every (border point, partner map) row of every candidate pair is then
     tested in one ``points_in_coverage`` call, pair by pair in order, and the
-    points kept are split back into their pairs once.
+    points kept stay stacked in that order.
     """
     centers = np.array([cov.center for cov in maps], dtype=float).reshape(-1, 2)
     reach = np.array([cov.max_radius for cov in maps])
@@ -914,20 +918,19 @@ def _common_borders(maps: list[CoverageMap]) -> dict[tuple[int, int], np.ndarray
     pair = np.repeat(np.arange(i.size), sizes[0::2] + sizes[1::2])[hit]
     kept = np.bincount(pair, minlength=i.size)
     some = kept > 0
-    return {(maps[a].bs_id, maps[b].bs_id): points
-            for a, b, points in zip(i[some].tolist(), j[some].tolist(),
-                                    np.split(border[point[hit]], np.cumsum(kept[some])[:-1]))}
+    pairs = np.array([cov.bs_id for cov in maps], dtype=int)[owner.reshape(-1, 2)[some]]
+    return CommonBorders(border[point[hit]], pairs, np.append(0, np.cumsum(kept[some])))
 
 
 def common_border_points(cov_a: CoverageMap, cov_b: CoverageMap) -> np.ndarray:
     """Border points of either map that fall inside the other map's coverage,
     those of ``cov_a`` first, as an (N, 2) array."""
-    return _common_borders([cov_a, cov_b]).get((cov_a.bs_id, cov_b.bs_id), np.empty((0, 2)))
+    return _common_borders([cov_a, cov_b]).points
 
 
 def build_all_coverage(scenario: Scenario, angular_step: float = ANGULAR_STEP,
                        border_samples: int = BORDER_SAMPLES, *, built=None):
-    """Coverage maps for every station plus all pairwise common borders.
+    """Coverage maps by station id, and the ``CommonBorders`` of every overlapping pair.
 
     ``built`` maps station ids to maps already made with the same settings;
     those are reused, and the other stations' maps are built in one batch.

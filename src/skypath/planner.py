@@ -12,7 +12,8 @@ shorter of that path and an exact A* over the same kind of points with no
 station sequence, whose edges are verified the same way when the search first
 needs them.
 
-This module holds the graphs and searches; point and segment membership
+This module holds the graphs and searches; membership and the common-border
+table (``coverage.CommonBorders``, whose pair order numbers the border nodes)
 live in ``coverage``. Both graphs are node tables (``PlanGraph.xy``) with
 edge lists. Every segment check runs on the (node, map) slots that
 ``coverage._members`` numbers, in ``coverage._slots_clear``.
@@ -30,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coverage import (CoverageMap, _members, _segments_clear, _slots_clear, network_covered,
-                       points_in_coverage)
+from .coverage import (CommonBorders, CoverageMap, _members, _segments_clear, _slots_clear,
+                       network_covered, points_in_coverage)
 from .coverage import line_in_coverage, segments_in_coverage  # bound here under their old names
 from .geometry import GEOM_EPS, Point3
 from .scenario import InvalidConfigError, Mission, Scenario
@@ -60,7 +61,7 @@ class PlanGraph:
     points pair by pair, and the goal last.
 
     - ``build_feasibility_graph``: every map's projection in sorted station
-      id order, then the points of every common border in sorted pair order.
+      id order, then the common-border points in the table's order.
     - ``build_refined_graph``: the projections of the base path's stations in
       visit order, then the points of each consecutive pair's common border.
     """
@@ -204,7 +205,7 @@ def shortest_path(graph: PlanGraph, src: int, dst: int) -> list[int] | None:
 def build_feasibility_graph(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
 ) -> PlanGraph:
     """Endpoints + station projections + all common-border points.
 
@@ -215,23 +216,21 @@ def build_feasibility_graph(
     mission = scenario.mission
     ids = sorted(maps)
     start_cover, goal_cover = _endpoint_covers(mission, ids, maps)
-    pairs = sorted(commons)
-    sizes = [commons[pair].shape[0] for pair in pairs]
-    xy = _node_table(mission, [maps[k].center for k in ids], [commons[pair] for pair in pairs])
+    xy = _node_table(mission, [maps[k].center for k in ids], [commons.points])
     goal = xy.shape[0] - 1
     # node 1 + i is the projection of station ids[i]; each border point links
     # to its pair's two projections in turn
-    owner = 1 + np.searchsorted(ids, np.repeat(np.reshape(pairs, (-1, 2)), sizes, axis=0)).ravel()
+    owner = np.searchsorted(ids, np.repeat(commons.pairs, np.diff(commons.cuts), axis=0))
     start_cover, goal_cover = (1 + np.searchsorted(ids, c) for c in (start_cover, goal_cover))
     edges = (_edges(xy, np.zeros_like(start_cover), start_cover)
-             + _edges(xy, owner, np.repeat(np.arange(1 + len(ids), goal), 2))
+             + _edges(xy, 1 + owner.ravel(), np.repeat(np.arange(1 + len(ids), goal), 2))
              + _edges(xy, goal_cover, np.full_like(goal_cover, goal)))
     return PlanGraph(xy=xy, edges=tuple(edges))
 
 
 def feasibility_graph_size(
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
     start_cover: int,
     goal_cover: int,
 ) -> tuple[int, int]:
@@ -239,7 +238,7 @@ def feasibility_graph_size(
 
     ``start_cover`` and ``goal_cover`` count the maps that hold each endpoint.
     """
-    border = sum(points.shape[0] for points in commons.values())
+    border = commons.points.shape[0]
     return 2 + len(maps) + border, start_cover + 2 * border + goal_cover
 
 
@@ -261,7 +260,7 @@ def _endpoint_covers(mission: Mission, ids: list[int], maps: dict[int, CoverageM
 def base_trajectory(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
     graph: PlanGraph | None = None,
 ) -> BaseResult | None:
     """Shortest path in the feasibility graph, or None when disconnected.
@@ -283,19 +282,15 @@ def base_trajectory(
     index = {k: i for i, k in enumerate(ids)}
     centers = [maps[k].center for k in ids]
     goal = len(ids)  # the goal's heap index follows every station's, as its node id does
-    # the border points as the graph numbers them, pair by pair in sorted order
-    pairs = sorted(commons)
-    sizes = [commons[pair].shape[0] for pair in pairs]
-    points = np.vstack([commons[pair] for pair in pairs]) if pairs else np.empty((0, 2))
-    owner = np.searchsorted(ids, np.repeat(np.reshape(pairs, (-1, 2)), sizes, axis=0))
+    # the border points as the graph numbers them
+    points, cuts = commons.points, commons.cuts.tolist()
+    owner = np.searchsorted(ids, np.repeat(commons.pairs, np.diff(commons.cuts), axis=0))
     # |c p| from each of the pair's stations, as the graph's edge weights are
     spoke = [np.array(_lengths(np.array(centers)[owner[:, side]] - points)) for side in (0, 1)]
     partners: list[list[tuple[int, int, int, int]]] = [[] for _ in ids]
-    cuts = np.cumsum([0, *sizes]).tolist()
-    for (a, b), lo, hi in zip(pairs, cuts[:-1], cuts[1:]):
-        if hi > lo:
-            partners[index[a]].append((index[b], lo, hi, 0))
-            partners[index[b]].append((index[a], lo, hi, 1))
+    for (a, b), lo, hi in zip(commons.pairs.tolist(), cuts[:-1], cuts[1:]):
+        partners[index[a]].append((index[b], lo, hi, 0))
+        partners[index[b]].append((index[a], lo, hi, 1))
     first_border = 1 + len(ids)  # node id of the graph's first border point
 
     # best[j]: (dist, tie, border-node id) of j's best way in so far, and
@@ -369,7 +364,7 @@ def build_refined_graph(
     base: BaseResult,
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
 ) -> PlanGraph:
     """Graph over the base path's stations and their consecutive common borders.
 
@@ -382,13 +377,15 @@ def build_refined_graph(
     """
     order = base.visit_indices
     kprime = len(order)
-    pairs = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:])]
-    borders = [commons.get(pair, np.empty((0, 2))) for pair in pairs]
-    xy = _node_table(scenario.mission, [maps[k].center for k in order], borders)
+    # hop[t, j]: table pair t joins visits j and j + 1; a pair not in the table has no points
+    hop = (commons.pairs[:, None] == np.sort(np.column_stack([order[:-1], order[1:]]))).all(axis=2)
+    first, sizes = commons.cuts[:-1] @ hop, np.diff(commons.cuts) @ hop
+    xy = _node_table(scenario.mission, [maps[k].center for k in order],
+                     [commons.points[a:a + size] for a, size in zip(first, sizes)])
     n = xy.shape[0]
     # the border points between visits j and j + 1 (projections 1 + j and
     # 2 + j) are nodes cuts[j]..cuts[j + 1] - 1
-    cuts = np.cumsum([1 + kprime, *(p.shape[0] for p in borders)])
+    cuts = np.cumsum([1 + kprime, *sizes])
     slots = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     spoke = np.repeat(np.arange(1, kprime), np.diff(cuts))
     edges = (_edges(xy, np.array([0, kprime]), np.array([1, n - 1]))
@@ -415,7 +412,7 @@ def build_refined_graph(
 def _free_search(
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
     bound: float,
 ) -> np.ndarray | None:
     """Exact A* over the refinement's points, free of any station sequence.
@@ -432,16 +429,15 @@ def _free_search(
     numbered with their polar offsets before the search. The Euclidean
     heuristic is consistent, so each node is expanded once. Returns the
     waypoints of the shortest path, or None when no path is shorter than
-    ``bound``.
+    ``bound`` or no map holds the start.
     """
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
-    points = np.vstack([commons[pair] for pair in sorted(commons)] or [np.empty((0, 2))])
-    xy = _node_table(mission, [maps[k].center for k in stations], [points])
+    xy = _node_table(mission, [maps[k].center for k in stations], [commons.points])
     to_goal = np.hypot(xy[:, 0] - xy[-1, 0], xy[:, 1] - xy[-1, 1])
     from_start = np.hypot(xy[:, 0] - xy[0, 0], xy[:, 1] - xy[0, 1])
     live = from_start + to_goal < bound * (1.0 + 1e-9)
-    if not live[-1]:
+    if not (live[-1] and stations):  # no path beats the bound, or no map has a wedge
         return None
     # the distinct kept border points; the test keeps all copies of a point or none
     first = 1 + len(stations)
@@ -463,7 +459,7 @@ def _free_search(
     cost[0] = 0.0
     parent = np.full(n, -1)
     closed = np.zeros(n, dtype=bool)
-    heap = [(to_goal[0], 0)]  # ties break toward the lower node id
+    heap = [(to_goal[0], 0)] if own_maps[0].any() else []  # ties break toward the lower id
     while heap:
         _, u = heappop(heap)
         if closed[u]:
@@ -497,7 +493,7 @@ def optimize_trajectory(
     base: BaseResult,
     scenario: Scenario,
     maps: dict[int, CoverageMap],
-    commons: dict[tuple[int, int], np.ndarray],
+    commons: CommonBorders,
     graph: PlanGraph | None = None,
 ) -> Trajectory:
     """Shortest certified path over the refinement's points.

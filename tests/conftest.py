@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from skypath.coverage import CommonBorders
 from skypath.geometry import GEOM_EPS, TWO_PI, BuildingArrays, Point3
 from skypath.scenario import (
     BaseStation,
@@ -400,6 +401,22 @@ def pairwise_common_borders(maps) -> dict:
     return out
 
 
+def border_table(commons: dict) -> CommonBorders:
+    """The ``CommonBorders`` table of a {(a, b): points} dict, pairs in sorted order."""
+    pairs = sorted(commons)
+    points = [np.reshape(np.asarray(commons[pair], dtype=float), (-1, 2)) for pair in pairs]
+    return CommonBorders(np.vstack([np.empty((0, 2)), *points]),
+                         np.reshape(np.array(pairs, dtype=int), (-1, 2)),
+                         np.cumsum([0, *(p.shape[0] for p in points)]))
+
+
+def border_dict(table: CommonBorders) -> dict:
+    """The {(a, b): points} dict of a ``CommonBorders`` table, in its pair order."""
+    cuts = table.cuts.tolist()
+    return {tuple(pair): table.points[lo:hi]
+            for pair, lo, hi in zip(table.pairs.tolist(), cuts[:-1], cuts[1:])}
+
+
 def _slab_interval_oracle(a, d, lo, hi):
     """Per-axis slab clip: parameter interval where a + t*d lies in [lo, hi]."""
     zero = d == 0.0
@@ -511,11 +528,10 @@ def free_search_oracle(scenario, maps, commons, bound):
 
     mission = scenario.mission
     stations = [k for k in sorted(maps) if not maps[k].is_empty]
-    borders = [commons[pair] for pair in sorted(commons)]
     xy = np.vstack([
         [mission.start.xy],
         [maps[k].center for k in stations],
-        np.unique(np.vstack(borders), axis=0) if borders else np.empty((0, 2)),
+        np.unique(commons.points, axis=0) if commons.points.size else np.empty((0, 2)),
         [mission.goal.xy],
     ])
     n = xy.shape[0]
@@ -579,9 +595,10 @@ def refined_graph_oracle(base, scenario, maps, commons):
         u_node.append(len(nodes))
         nodes.append(maps[k].center)
     slots = []
+    borders = border_dict(commons)
     for a, b in zip(order, order[1:]):
         pair = (min(a, b), max(a, b))
-        pts = commons[pair].tolist() if pair in commons else []
+        pts = borders[pair].tolist() if pair in borders else []
         slots.append(list(range(len(nodes), len(nodes) + len(pts))))
         nodes.extend(tuple(p) for p in pts)
     goal = len(nodes)

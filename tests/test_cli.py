@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from skypath import coverage
 from skypath.cli import main
 from skypath.coverage import build_all_coverage
 from skypath.scenario import load_scenario, save_scenario
@@ -122,6 +123,22 @@ class TestPlan:
             assert [w["theta_end"] for w in wedges] == cov.ends.tolist()
             assert [w["radius"] for w in wedges] == cov.radii.tolist()
             assert entry["border_points"] == cov.border_points.tolist()
+
+    def test_coverage_dump_builds_no_common_borders(self, tmp_path, open_field_file,
+                                                    monkeypatch):
+        """The dump writes maps only, so the harness's own call is the one
+        that builds common borders."""
+        calls = []
+
+        def counted(maps):
+            calls.append(len(maps))
+            return common_borders(maps)
+
+        common_borders = coverage._common_borders
+        monkeypatch.setattr(coverage, "_common_borders", counted)
+        assert run(["plan", "--scenario", open_field_file, "--out-dir", tmp_path / "o",
+                    "--planners", "base", "--dump-coverage", tmp_path / "cov.json"]) == 0
+        assert calls == [2]
 
     def test_malformed_scenario_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -30,6 +30,7 @@ from skypath.geometry import GEOM_EPS, Building, Point3
 from skypath.scenario import BaseStation, CityMap, default_radio_params
 
 from conftest import (
+    border_dict,
     border_walk_oracle,
     cell_merge_oracle,
     certified_radii_oracle,
@@ -532,7 +533,7 @@ class TestCommonBorders:
     def test_all_points_pass_both_coverage_tests(self, params):
         scn = small_city_scenario(seed=31, k=4)
         maps, commons = build_all_coverage(scn)
-        for (k, j), points in commons.items():
+        for (k, j), points in border_dict(commons).items():
             assert points_in_coverage(points, maps[k]).all()
             assert points_in_coverage(points, maps[j]).all()
 
@@ -1094,10 +1095,18 @@ class TestBatchedCommonBorders:
 
     @staticmethod
     def _check(maps, commons):
+        points, pairs, cuts = commons
+        # pairs (a, b), a < b, in strictly increasing order, none empty, and
+        # every point in one of them
+        assert pairs.shape == (cuts.size - 1, 2) and (pairs[:, 0] < pairs[:, 1]).all()
+        step = np.diff(pairs, axis=0)
+        assert ((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0))).all()
+        assert cuts[0] == 0 and (np.diff(cuts) > 0).all() and cuts[-1] == len(points)
         expected = pairwise_common_borders(maps)
-        assert list(commons) == list(expected)
+        got = border_dict(commons)
+        assert list(got) == list(expected)
         for pair, points in expected.items():
-            assert_bitwise(commons[pair], points)
+            assert_bitwise(got[pair], points)
             assert_bitwise(common_border_points(maps[pair[0]], maps[pair[1]]), points)
 
     @pytest.mark.parametrize("seed", [11, 19, 31, 100])

@@ -38,8 +38,8 @@ from skypath.planner import (
 from skypath.scenario import (InvalidConfigError, build_default_scenario, default_mission,
                               place_base_stations)
 
-from conftest import (assert_edges_covered, direct_snr_max, free_search_oracle, line_check_tie,
-                      node_graph_base, open_field_scenario, refined_graph_oracle,
+from conftest import (assert_edges_covered, border_table, direct_snr_max, free_search_oracle,
+                      line_check_tie, node_graph_base, open_field_scenario, refined_graph_oracle,
                       sampled_line_in_coverage, small_city_scenario)
 
 R_CLAIMED = math.sqrt(281203.58684358007) - 0.01  # claimed open-field radius
@@ -143,7 +143,8 @@ class TestFeasibilityGraph:
         scn = open_field_scenario([(300.0, 1000.0), (1700.0, 1000.0)],
                                   start_xy=(300.0, 1000.0), goal_xy=(1700.0, 1000.0))
         maps, commons = build_all_coverage(scn)
-        assert commons == {}
+        assert commons.points.shape == (0, 2) and commons.pairs.shape == (0, 2)
+        assert commons.cuts.tolist() == [0]
         g = build_feasibility_graph(scn, maps, commons)
         assert base_trajectory(scn, maps, commons, graph=g) is None
 
@@ -152,7 +153,8 @@ class TestFeasibilityGraph:
                                   start_xy=(300.0, 1000.0), goal_xy=(1700.0, 1000.0))
         maps, commons = build_all_coverage(scn)
         g = build_feasibility_graph(scn, maps, commons)
-        n_common = commons[(1, 2)].shape[0]
+        assert commons.pairs.tolist() == [[1, 2]]
+        n_common = commons.points.shape[0]
         assert g.edge_count == 2 + 2 * n_common
         assert g.node_count == 2 + 2 + n_common
 
@@ -211,8 +213,7 @@ def _disk(bs, radius):
 def _hand_layout(stations, radii, start, goal, commons):
     scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
     maps = {bs.id: _disk(bs, r) for bs, r in zip(scn.base_stations, radii)}
-    commons = {pair: np.array(pts, dtype=float) for pair, pts in commons.items()}
-    return scn, maps, commons
+    return scn, maps, border_table(commons)
 
 
 class TestStationSearch:
@@ -321,6 +322,15 @@ class TestPrunedFreeSearch:
                     assert got is not None and got.tobytes() == want.tobytes()
         assert searched >= 5
 
+    def test_start_in_no_map_has_no_path(self):
+        """No edge leaves a start that no map holds, with or without wedges."""
+        scn = open_field_scenario([(1000.0, 1000.0)],
+                                  start_xy=(100.0, 100.0), goal_xy=(1000.0, 900.0))
+        maps, commons = build_all_coverage(scn)
+        assert _free_search(scn, maps, commons, math.inf) is None
+        empty = {1: CoverageMap(1, (1000.0, 1000.0), [], [], [], np.empty((0, 2)))}
+        assert _free_search(scn, empty, commons, math.inf) is None
+
     def test_hands_the_kernel_member_slots(self, planning_inputs, monkeypatch):
         """The search checks no membership of its own: each tail is the
         expanded node's slot in the segment's map and each head a
@@ -384,7 +394,7 @@ class TestSlotKernel:
             covs += [CoverageMap(cov.bs_id, cov.center, *(np.delete(getattr(cov, a), np.s_[::5])
                                                           for a in ("starts", "ends", "radii")),
                                  cov.border_points) for cov in covs]
-            border = np.unique(np.vstack(list(commons.values())), axis=0)
+            border = np.unique(commons.points, axis=0)
             rays = [_ray_points(border, cov.center, rng) for cov in covs]
             # nodes: the apexes, the border points, then their ray points about each apex
             xy = np.vstack([[cov.center for cov in covs], border, *rays])
@@ -487,7 +497,8 @@ class TestRefinedGraph:
         # independent oracle: best v_I -> lens point -> v_F among the
         # discretized common-border points whose two legs stay covered
         best = math.inf
-        for x, y in commons[(1, 2)]:
+        assert commons.pairs.tolist() == [[1, 2]]
+        for x, y in commons.points:
             if not sampled_line_in_coverage(start, (x, y), maps[1], 0.5):
                 continue
             if not sampled_line_in_coverage((x, y), goal, maps[2], 0.5):
@@ -630,7 +641,7 @@ class TestOptimizeOracle:
     def _check(self, scn, maps, commons):
         mission = scn.mission
         ids = [k for k in sorted(maps) if not maps[k].is_empty]
-        border = np.unique(np.vstack(list(commons.values())), axis=0)
+        border = np.unique(commons.points, axis=0)
         xy = np.vstack([[mission.start.xy], [maps[k].center for k in ids], border,
                         [mission.goal.xy]])
         inside = {k: points_in_coverage(xy, maps[k]) for k in ids}
