@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from . import evaluation
+from . import evaluation, scenario
 from .coverage import ANGULAR_STEP, BORDER_SAMPLES, build_coverage_maps, save_coverage_dump
 from .evaluation import (
     DEFAULT_PLANNERS,
@@ -24,14 +25,11 @@ from .evaluation import (
 )
 from .planner import GRID_STEP, InfeasibleEndpointError, save_trajectory
 from .scenario import (
-    DEFAULT_BS_HEIGHT,
-    DEFAULT_K,
-    DEFAULT_SEED,
-    DEFAULT_UAV_ALTITUDE,
     InvalidConfigError,
     PlacementError,
     Scenario,
     ScenarioFormatError,
+    db_to_linear,
     default_mission,
     default_radio_params,
     generate_city,
@@ -78,25 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a scenario file")
     gen.add_argument("--out", type=Path, default=Path("scenario.json"))
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--k", type=int, default=DEFAULT_K, help="number of base stations")
-    gen.add_argument("--width", type=float, default=2000.0)
-    gen.add_argument("--depth", type=float, default=2000.0)
-    gen.add_argument("--block-size", type=float, default=80.0)
-    gen.add_argument("--street-width", type=float, default=20.0)
-    gen.add_argument("--rayleigh-scale", type=float, default=25.0)
-    gen.add_argument("--height-min", type=float, default=5.0)
-    gen.add_argument("--height-max", type=float, default=70.0)
-    gen.add_argument("--h", type=float, default=DEFAULT_UAV_ALTITUDE, help="UAV altitude")
-    gen.add_argument("--hg", type=float, default=DEFAULT_BS_HEIGHT, help="BS height")
-    gen.add_argument("--p-over-sigma2-db", type=float, default=120.0)
-    gen.add_argument("--snr-threshold-db", type=float, default=20.0)
-    gen.add_argument("--alpha-los", type=float, default=2.2)
-    gen.add_argument("--alpha-nlos", type=float, default=2.8)
-    gen.add_argument("--beta-los", type=float, default=1e-4)
-    gen.add_argument("--beta-nlos", type=float, default=1e-4)
-    gen.add_argument("--start", type=_parse_xy, default=(300.0, 300.0))
-    gen.add_argument("--goal", type=_parse_xy, default=(1500.0, 1500.0))
+    gen.add_argument("--seed", type=int, default=scenario.DEFAULT_SEED)
+    gen.add_argument("--k", type=int, default=scenario.DEFAULT_K, help="number of base stations")
+    gen.add_argument("--width", type=float, default=scenario.DEFAULT_WIDTH)
+    gen.add_argument("--depth", type=float, default=scenario.DEFAULT_DEPTH)
+    gen.add_argument("--block-size", type=float, default=scenario.DEFAULT_BLOCK_SIZE)
+    gen.add_argument("--street-width", type=float, default=scenario.DEFAULT_STREET_WIDTH)
+    gen.add_argument("--rayleigh-scale", type=float, default=scenario.DEFAULT_RAYLEIGH_SCALE)
+    gen.add_argument("--height-min", type=float, default=scenario.DEFAULT_HEIGHT_RANGE[0])
+    gen.add_argument("--height-max", type=float, default=scenario.DEFAULT_HEIGHT_RANGE[1])
+    gen.add_argument("--h", type=float, default=scenario.DEFAULT_UAV_ALTITUDE, help="UAV altitude")
+    gen.add_argument("--hg", type=float, default=scenario.DEFAULT_BS_HEIGHT, help="BS height")
+    gen.add_argument("--p-over-sigma2-db", type=float, default=scenario.DEFAULT_P_OVER_SIGMA2_DB)
+    gen.add_argument("--snr-threshold-db", type=float, default=scenario.DEFAULT_SNR_THRESHOLD_DB)
+    gen.add_argument("--alpha-los", type=float, default=scenario.DEFAULT_ALPHA_LOS)
+    gen.add_argument("--alpha-nlos", type=float, default=scenario.DEFAULT_ALPHA_NLOS)
+    gen.add_argument("--beta-los", type=float, default=scenario.DEFAULT_BETA_LOS)
+    gen.add_argument("--beta-nlos", type=float, default=scenario.DEFAULT_BETA_NLOS)
+    gen.add_argument("--start", type=_parse_xy, default=scenario.DEFAULT_MISSION_START)
+    gen.add_argument("--goal", type=_parse_xy, default=scenario.DEFAULT_MISSION_GOAL)
 
     def add_shared(p, planners_default):
         p.add_argument("--scenario", type=Path, required=True)
@@ -118,13 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="plan and score one scenario")
     add_shared(ev, PLANNER_ORDER)
     ev.add_argument("--outage-step", type=float, default=evaluation.OUTAGE_STEP)
-    ev.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    ev.add_argument("--seed", type=int, default=scenario.DEFAULT_SEED,
                     help="seed recorded in the report rows")
 
     mc = sub.add_parser("montecarlo", help="seeded Monte-Carlo planner comparison")
     add_shared(mc, DEFAULT_PLANNERS)
     mc.add_argument("--trials", type=int, default=50)
-    mc.add_argument("--base-seed", type=int, default=DEFAULT_SEED)
+    mc.add_argument("--base-seed", type=int, default=scenario.DEFAULT_SEED)
     mc.add_argument("--outage-step", type=float, default=evaluation.OUTAGE_STEP)
     mc.add_argument("--jobs", type=_positive_int, default=1)
     return parser
@@ -141,22 +139,8 @@ def _angular_step(args) -> float:
 def _load_with_overrides(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.snr_threshold_db is not None:
-        radio = default_radio_params(
-            p_over_sigma2_db=10.0 * math.log10(scenario.radio.tx_power_over_noise),
-            snr_threshold_db=args.snr_threshold_db,
-            uav_altitude=scenario.radio.uav_altitude,
-            bs_height=scenario.radio.bs_height,
-            alpha_los=scenario.radio.alpha_los,
-            alpha_nlos=scenario.radio.alpha_nlos,
-            beta_los=scenario.radio.beta_los,
-            beta_nlos=scenario.radio.beta_nlos,
-        )
-        scenario = Scenario(
-            city=scenario.city,
-            base_stations=scenario.base_stations,
-            radio=radio,
-            mission=scenario.mission,
-        )
+        radio = replace(scenario.radio, snr_threshold=db_to_linear(args.snr_threshold_db))
+        scenario = replace(scenario, radio=radio)
     return scenario
 
 

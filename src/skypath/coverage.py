@@ -69,9 +69,6 @@ RADIUS_SAFETY = 0.01
 # Pad, in rad, on each side of a building's subtended azimuth span, and the
 # least guard around each critical azimuth (``_certified_cell_radii``).
 AZIMUTH_GUARD = 1e-9
-# (azimuth, building) pairs per batch of the blocking sweep; small enough to
-# keep the batch's temporaries in cache.
-SWEEP_BATCH = 16_384
 # (segment, jump) pairs that ``_slots_clear`` holds in memory at once.
 JUMP_BATCH = 100_000
 
@@ -153,8 +150,8 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers, stations: int = 1) ->
     returned value. Each building is evaluated only at the azimuths
     inside its subtended span, padded by AZIMUTH_GUARD (every azimuth when its
     closed footprint holds the station): the spans and their ``searchsorted``
-    bounds come from one pass of array operations, and the (azimuth, building)
-    pairs are expanded in batches of SWEEP_BATCH.
+    bounds come from one pass of array operations, and all the (azimuth,
+    building) pairs are expanded in one pass.
 
     The blockers may belong to several stations, all swept at the same
     azimuths: the result is flat, station by station, and a run of pairs of
@@ -178,9 +175,8 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers, stations: int = 1) ->
     count = np.searchsorted(az, (hi + shift).ravel(), side="right") - first
     runs = np.flatnonzero(count > 0)
     owner, first, count = runs % nb, first[runs], count[runs]
-    ends = np.cumsum(count)
     # azimuth index, in the owner's copy, minus pair index, per run
-    offset = first + blk.station[owner] * m - (ends - count)
+    offset = first + blk.station[owner] * m - (np.cumsum(count) - count)
 
     cos_a, sin_a = np.cos(az), np.sin(az)
     # A zero direction (sin at azimuth 0) leaves its slab unbounded when the
@@ -191,33 +187,25 @@ def _first_blocking_radius(az: np.ndarray, blk: _Blockers, stations: int = 1) ->
         cos_a, sin_a, zero_x, zero_y = (np.tile(a, stations) for a in (cos_a, sin_a, zero_x, zero_y))
     inside_x = (blk.x0 <= 0.0) & (blk.x1 >= 0.0)
     inside_y = (blk.y0 <= 0.0) & (blk.y1 >= 0.0)
-    axes = [(lo_b, hi_b, d, zero if zero.any() else None, inside)
-            for lo_b, hi_b, d, zero, inside in ((blk.x0, blk.x1, cos_a, zero_x, inside_x),
-                                                (blk.y0, blk.y1, sin_a, zero_y, inside_y))]
 
-    total = int(ends[-1]) if ends.size else 0
-    for s in range(0, total, SWEEP_BATCH):
-        e = min(s + SWEEP_BATCH, total)
-        r0 = np.searchsorted(ends, s, side="right")
-        r1 = np.searchsorted(ends, e, side="left") + 1
-        k = np.minimum(ends[r0:r1], e) - np.maximum(ends[r0:r1] - count[r0:r1], s)
-        b = np.repeat(owner[r0:r1], k)
-        i = np.arange(s, e) + np.repeat(offset[r0:r1], k)
-        slabs = []
-        for lo_b, hi_b, d, zero, inside in axes:
-            di = d[i]
-            t1, t2 = lo_b[b] / di, hi_b[b] / di
-            tmin, tmax = np.minimum(t1, t2), np.maximum(t1, t2)
-            if zero is not None:
-                z = np.flatnonzero(zero[i])
-                ins = inside[b[z]]
-                tmin[z] = np.where(ins, -np.inf, np.inf)
-                tmax[z] = np.where(ins, np.inf, -np.inf)
-            slabs.append((tmin, tmax))
-        (txmin, txmax), (tymin, tymax) = slabs
-        t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
-        t_hi = np.minimum(txmax, tymax)
-        np.minimum.at(out, i, np.where(t_lo <= t_hi, blk.factor[b] * t_lo, np.inf))
+    b = np.repeat(owner, count)
+    i = np.arange(b.size) + np.repeat(offset, count)
+    slabs = []
+    for lo_b, hi_b, d, zero, inside in ((blk.x0, blk.x1, cos_a, zero_x, inside_x),
+                                        (blk.y0, blk.y1, sin_a, zero_y, inside_y)):
+        di = d[i]
+        t1, t2 = lo_b[b] / di, hi_b[b] / di
+        tmin, tmax = np.minimum(t1, t2), np.maximum(t1, t2)
+        if zero.any():
+            z = np.flatnonzero(zero[i])
+            ins = inside[b[z]]
+            tmin[z] = np.where(ins, -np.inf, np.inf)
+            tmax[z] = np.where(ins, np.inf, -np.inf)
+        slabs.append((tmin, tmax))
+    (txmin, txmax), (tymin, tymax) = slabs
+    t_lo = np.maximum(np.maximum(txmin, tymin), 0.0)
+    t_hi = np.minimum(txmax, tymax)
+    np.minimum.at(out, i, np.where(t_lo <= t_hi, blk.factor[b] * t_lo, np.inf))
     return out
 
 
@@ -837,8 +825,6 @@ def _border_points(centers, starts: np.ndarray, ends: np.ndarray, radii: np.ndar
     Returns the points, stacked map by map, and each map's point count: q,
     or 0 for a map with no wedges or a perimeter of length 0.
     """
-    if q < 1:
-        raise InvalidConfigError(f"border sample count must be >= 1: {q}")
     centers = np.reshape(np.asarray(centers, dtype=float), (-1, 2))
     k, m = centers.shape[0], radii.size
     nxt, _, gap = _wedge_ring(starts, ends, counts)

@@ -191,8 +191,6 @@ def _dijkstra(adj: Sequence[Sequence[tuple[int, float]]], src: int, dst: int):
 
 def shortest_path(graph: PlanGraph, src: int, dst: int) -> list[int] | None:
     """Minimum-weight node sequence from src to dst, or None when disconnected."""
-    if src == dst:
-        return [src]
     path, _ = _dijkstra(graph.adjacency, src, dst)
     return path
 

@@ -1,12 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from skypath import coverage
-from skypath.cli import main
+from skypath.cli import _load_with_overrides, build_parser, main
 from skypath.coverage import build_all_coverage
-from skypath.scenario import load_scenario, save_scenario
+from skypath.scenario import build_default_scenario, db_to_linear, load_scenario, save_scenario
 
 from conftest import open_field_scenario
 
@@ -55,6 +56,12 @@ class TestGenerate:
         assert run(["generate", "--out", out, flag, value]) == 1
         assert f"error: {setting} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_defaults_are_the_default_scenario(self, tmp_path):
+        out, ref = tmp_path / "scn.json", tmp_path / "ref.json"
+        assert run(["generate", "--out", out]) == 0
+        save_scenario(build_default_scenario(), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_same_seed_identical_file(self, tmp_path):
         a = tmp_path / "a.json"
@@ -154,6 +161,19 @@ class TestPlan:
         assert run(["plan", "--scenario", twins, "--out-dir", out_dir]) == 1
         assert "error: base station id 1 is used twice" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_snr_threshold_override_changes_only_the_threshold(tmp_path, open_field_file):
+    # 2.018 dB does not survive a linear -> dB -> linear round trip exactly.
+    data = json.loads(open_field_file.read_text())
+    data["radio"]["p_over_sigma2_db"] = 2.018
+    open_field_file.write_text(json.dumps(data))
+    loaded = load_scenario(open_field_file)
+    args = build_parser().parse_args(["eval", "--scenario", str(open_field_file),
+                                      "--snr-threshold-db", "25"])
+    scn = _load_with_overrides(args)
+    assert scn.radio == replace(loaded.radio, snr_threshold=db_to_linear(25.0))
+    assert scn.base_stations == loaded.base_stations and scn.mission == loaded.mission
 
 
 class TestEval:

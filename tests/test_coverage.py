@@ -600,6 +600,10 @@ def _fan_cases():
     yield "station on an edge", station, (Building(940.0, 1000.0, 970.0, 1030.0, 50.0),), pts, None
     yield "station inside", station, (Building(980.0, 1010.0, 990.0, 1040.0, 50.0),), pts, None
 
+    # the random footprints again, in one fan_blocked call of 22,262 (azimuth, building) pairs
+    many = rng.uniform(400, 1600, size=(12000, 2))
+    yield "random footprints, 12,000 points", station, random, many, None
+
 
 class TestNetworkCovered:
     def test_fan_blocking_matches_generic_path_across_wrap(self, params):
