@@ -626,9 +626,10 @@ def _jump_table(covs: Sequence[CoverageMap]):
     Map m's jump angles sit at offset 4*pi*m and are listed twice, the
     second time shifted by 2*pi, so that a swept azimuth range that wraps
     past 2*pi is one slice. Returns (angles, cos, sin, before, after), with
-    (R + GEOM_EPS)**2 before and after each jump, membership's squared reach.
+    (R + GEOM_EPS)**2 before and after each jump, membership's squared reach;
+    with no maps, no jumps.
     """
-    wedges = (np.concatenate([getattr(cov, name) for cov in covs])
+    wedges = (np.concatenate([np.empty(0), *(getattr(cov, name) for cov in covs)])
               for name in ("starts", "ends", "radii"))
     *steps, counts = _radius_steps(*wedges, [cov.radii.size for cov in covs])
     # slot k of map m's block: jump k % c_m of the map, shifted when k >= c_m

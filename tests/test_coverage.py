@@ -15,6 +15,7 @@ from skypath.coverage import (
     _certified_cell_radii,
     _first_blocking_radius,
     _jump_table,
+    _members,
     _radius_steps,
     build_all_coverage,
     build_coverage_map,
@@ -931,6 +932,15 @@ class TestStackedRadiusSteps:
         assert jumps.tolist() == [0.0, 1.0, 3.0, 4.0, 5.0]
         assert before.tolist() == [20.0, 0.0, 10.0, 0.0, 30.0]
         assert after.tolist() == [0.0, 10.0, 0.0, 30.0, 20.0]
+
+    def test_no_maps(self):
+        """No maps: an empty jump table, and members with no slots."""
+        for column in _jump_table([]):
+            assert column.shape == (0,) and column.dtype == float
+        none = np.empty(0, dtype=int)
+        members = _members(np.zeros((3, 2)), [], none, none)
+        assert members.slot.shape == (0, 3) and members.node.size == 0
+        assert all(column.size == 0 for column in members.table)
 
     @pytest.mark.parametrize("seed", [100, 101, 102])
     def test_built_maps_with_hand_built_ones(self, seed):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skypath import planner
+from skypath import coverage, planner
 from skypath.coverage import (
     CoverageMap,
     _members,
@@ -210,6 +210,32 @@ def _disk(bs, radius):
                        [radius, radius], np.empty((0, 2)))
 
 
+# Hand-written layouts with exact ties: (stations, radii, start, goal, commons).
+TIE_LAYOUTS = {
+    # two border points mirrored about the line between the stations
+    "mirrored": ([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0], (900.0, 1000.0),
+                 (1500.0, 1000.0), {(1, 2): [(1200.0, 1100.0), (1200.0, 900.0)]}),
+    # totals 500 through both points; the graph pops the nearer one first
+    "in line": ([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0], (900.0, 1000.0),
+                (1500.0, 1000.0), {(1, 2): [(1300.0, 1000.0), (1100.0, 1000.0)]}),
+    # mirrored points whose totals tie under the graph's math.hypot weights,
+    # while np.hypot would make the second point's total smaller
+    "rounding": ([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0], (900.0, 1000.0),
+                 (1500.0, 1000.0),
+                 {(1, 2): [(1227.734375, 1043.8125), (1172.265625, 1043.8125)]}),
+    # 200 + 300 + 500 through station 1 equals the 1000 m spoke to station 2
+    "start spoke": ([(700.0, 1000.0), (1500.0, 1000.0)], [600.0, 1100.0], (500.0, 1000.0),
+                    (1550.0, 1000.0), {(1, 2): [(1000.0, 1000.0)]}),
+    "goal": ([(1000.0, 1100.0), (1000.0, 900.0)], [600.0, 600.0], (1000.0, 1000.0),
+             (1500.0, 1000.0), {}),
+    # the middle border point has two mirrored parents of equal reach, and
+    # its f exceeds theirs, so the sequence-free search can defer both rows
+    "relay": ([(700.0, 1000.0), (1100.0, 1000.0), (1500.0, 1000.0)], [250.0, 250.0, 250.0],
+              (500.0, 1000.0), (1700.0, 1000.0),
+              {(1, 2): [(900.0, 1100.0), (900.0, 900.0)], (2, 3): [(1300.0, 1000.0)]}),
+}
+
+
 def _hand_layout(stations, radii, start, goal, commons):
     scn = open_field_scenario(stations, start_xy=start, goal_xy=goal)
     maps = {bs.id: _disk(bs, r) for bs, r in zip(scn.base_stations, radii)}
@@ -251,47 +277,38 @@ class TestStationSearch:
         assert found >= 5
 
     def test_equal_totals_and_reaches_take_the_lower_node_id(self):
-        # two border points mirrored about the line between the stations
-        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
-                            (900.0, 1000.0), (1500.0, 1000.0),
-                            {(1, 2): [(1200.0, 1100.0), (1200.0, 900.0)]})
-        base = self._check(*case)
+        base = self._check(*_hand_layout(*TIE_LAYOUTS["mirrored"]))
         assert (base.trajectory.waypoints[2].x, base.trajectory.waypoints[2].y) == (1200.0, 1100.0)
 
     def test_equal_totals_take_the_shorter_reach(self):
-        # totals 500 through both points; the graph pops the nearer one first
-        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
-                            (900.0, 1000.0), (1500.0, 1000.0),
-                            {(1, 2): [(1300.0, 1000.0), (1100.0, 1000.0)]})
-        base = self._check(*case)
+        base = self._check(*_hand_layout(*TIE_LAYOUTS["in line"]))
         assert (base.trajectory.waypoints[2].x, base.trajectory.waypoints[2].y) == (1100.0, 1000.0)
 
     def test_rounding_tie_follows_the_graph_weights(self):
-        # mirrored points whose totals tie under the graph's math.hypot
-        # weights, while np.hypot would make the second point's total smaller
-        case = _hand_layout([(1000.0, 1000.0), (1400.0, 1000.0)], [250.0, 250.0],
-                            (900.0, 1000.0), (1500.0, 1000.0),
-                            {(1, 2): [(1227.734375, 1043.8125), (1172.265625, 1043.8125)]})
-        base = self._check(*case)
+        base = self._check(*_hand_layout(*TIE_LAYOUTS["rounding"]))
         assert base.trajectory.waypoints[2].x == 1172.265625
 
     def test_start_spoke_wins_an_equal_total(self):
-        # 200 + 300 + 500 through station 1 equals the 1000 m spoke to station 2
-        case = _hand_layout([(700.0, 1000.0), (1500.0, 1000.0)], [600.0, 1100.0],
-                            (500.0, 1000.0), (1550.0, 1000.0),
-                            {(1, 2): [(1000.0, 1000.0)]})
-        base = self._check(*case)
+        base = self._check(*_hand_layout(*TIE_LAYOUTS["start spoke"]))
         assert base.visit_indices == (2,)
 
     def test_goal_tie_goes_to_the_first_station_settled(self):
-        case = _hand_layout([(1000.0, 1100.0), (1000.0, 900.0)], [600.0, 600.0],
-                            (1000.0, 1000.0), (1500.0, 1000.0), {})
-        base = self._check(*case)
+        base = self._check(*_hand_layout(*TIE_LAYOUTS["goal"]))
         assert base.visit_indices == (1,)
 
 
 class TestPrunedFreeSearch:
     """_free_search against the A* over every point, at several bounds."""
+
+    @staticmethod
+    def _assert_matches_eager_search(scn, maps, commons, bounds):
+        for bound in bounds:
+            got = _free_search(scn, maps, commons, bound)
+            want = free_search_oracle(scn, maps, commons, bound)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()
 
     def test_matches_unpruned_search(self, planning_inputs):
         searched = 0
@@ -311,15 +328,10 @@ class TestPrunedFreeSearch:
             shortest = float(np.hypot(*np.diff(best, axis=0).T).sum())
             # a bound just above the shortest path keeps its nodes, which sit
             # on or inside the ellipse |s v| + |v g| = bound, barely
-            for bound in (refined_length * (1.0 - 1e-12), base.trajectory.length,
-                          shortest * (1.0 + 1e-12), shortest, 1.01 * straight, straight,
-                          0.5 * straight, math.inf):
-                got = _free_search(scn, maps, commons, bound)
-                want = free_search_oracle(scn, maps, commons, bound)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got is not None and got.tobytes() == want.tobytes()
+            self._assert_matches_eager_search(
+                scn, maps, commons, (refined_length * (1.0 - 1e-12), base.trajectory.length,
+                                     shortest * (1.0 + 1e-12), shortest, 1.01 * straight,
+                                     straight, 0.5 * straight, math.inf))
         assert searched >= 5
 
     def test_start_in_no_map_has_no_path(self):
@@ -332,7 +344,7 @@ class TestPrunedFreeSearch:
         assert _free_search(scn, empty, commons, math.inf) is None
 
     def test_hands_the_kernel_member_slots(self, planning_inputs, monkeypatch):
-        """The search checks no membership of its own: each tail is the
+        """The search checks no membership of its own: each tail is an
         expanded node's slot in the segment's map and each head a
         candidate's slot in that map, both taken from the member table."""
         calls = []
@@ -341,7 +353,6 @@ class TestPrunedFreeSearch:
             for slot in (tail, head):
                 assert (slot >= 0).all()
                 assert (members.slot[which, members.node[slot]] == slot).all()
-            assert np.unique(members.node[tail]).size == 1
             calls.append(tail.size)
             return _slots_clear(xy, members, tail, head, which)
 
@@ -353,6 +364,61 @@ class TestPrunedFreeSearch:
             except InfeasibleEndpointError:
                 continue
         assert len(calls) > 100
+
+    def test_hands_the_kernel_fewer_rows_than_the_eager_search(self, planning_inputs,
+                                                                monkeypatch):
+        """Edges that wait above the check threshold until the goal is closed
+        are never checked, so the kernel sees fewer rows than the eager A*'s."""
+        rows = {planner: 0, coverage: 0}
+
+        def counted(module):
+            def kernel(xy, members, tail, head, which):
+                rows[module] += tail.size
+                return _slots_clear(xy, members, tail, head, which)
+            return kernel
+
+        for module in rows:  # free_search_oracle takes the kernel from coverage
+            monkeypatch.setattr(module, "_slots_clear", counted(module))
+        for scn, maps, commons in planning_inputs:
+            try:
+                if base_trajectory(scn, maps, commons) is None:
+                    continue
+            except InfeasibleEndpointError:
+                continue
+            _free_search(scn, maps, commons, math.inf)
+            free_search_oracle(scn, maps, commons, math.inf)
+        assert 0 < rows[planner] < rows[coverage]
+
+    @pytest.mark.parametrize("step", [0.0, planner._CHECK_STEP, 1.0])
+    @pytest.mark.parametrize("name", list(TIE_LAYOUTS))
+    def test_tie_layouts_match_the_eager_search(self, name, step, monkeypatch):
+        """Exact equal reaches, under threshold steps from one per distinct f
+        (step 0) to a few for the whole search, and under a bound just above
+        the shortest path, which caps the threshold. The border points of
+        "in line" lie in one map each, so no sequence-free path exists."""
+        monkeypatch.setattr(planner, "_CHECK_STEP", step)
+        scn, maps, commons = _hand_layout(*TIE_LAYOUTS[name])
+        bounds = [math.inf]
+        best = free_search_oracle(scn, maps, commons, math.inf)
+        if best is not None:
+            shortest = float(np.hypot(*np.diff(best, axis=0).T).sum())
+            bounds += [shortest * (1.0 + 1e-12), shortest]
+        self._assert_matches_eager_search(scn, maps, commons, bounds)
+
+    @pytest.mark.parametrize("k", [50, 100])
+    def test_denser_placements_match_the_eager_search(self, k):
+        """Default-city placements at K = 50 and 100, at the refined path's
+        bound, as ``optimize_trajectory`` searches, and with no bound."""
+        city = build_default_scenario(seed=1, k=k)
+        for seed in (100, 101, 102):
+            stations = place_base_stations(city.city, k=k, h_g=city.radio.bs_height, seed=seed)
+            scn = city.with_base_stations(stations)
+            maps, commons = build_all_coverage(scn)
+            base = base_trajectory(scn, maps, commons)
+            refined = build_refined_graph(base, scn, maps, commons)
+            path = shortest_path(refined, 0, refined.node_count - 1)
+            self._assert_matches_eager_search(
+                scn, maps, commons, (path_length(refined, path) * (1.0 - 1e-12), math.inf))
 
 
 def _ray_points(xy, center, rng):

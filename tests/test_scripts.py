@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_outage_study.py", ["--trials", "2"], "planner      feasible  mean len"),
     ("run_comparison.py", [], "planner       length (m)   outage"),
     ("plan_digest.py", ["--placements", "100-101", "107"], "over 3 placements at K = 25"),
+    ("search_replay.py", ["--placements", "100-101", "107", "--rounds", "1"],
+     "searches over 3 placements at K = 25"),
 ])
 def test_script_runs_and_prints_its_table(script, args, header):
     env = dict(os.environ)
