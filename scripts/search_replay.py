@@ -4,8 +4,8 @@
 For each placement seed, draws K stations on the default city (city seed 1)
 and builds the search's inputs through the public stages, as the optimized
 planner does: ``build_all_coverage``, ``base_trajectory``, then
-``build_refined_graph`` and ``shortest_path`` for the bound (the refined
-path's length, less 1e-12 relative). Placements with an uncovered endpoint
+``build_refined_graph`` and ``shortest_path`` for the refined path, whose
+bound ``planner._search_bound`` gives. Placements with an uncovered endpoint
 or no base path have no search. Prints the number of searches, the segment
 kernel's calls and rows (``planner._slots_clear``, counted in one untimed
 pass), the summed per-search minimum over R timed rounds, and one sha256
@@ -19,8 +19,6 @@ so two checkouts can be compared by running this on both:
 import argparse
 import hashlib
 import time
-
-import numpy as np
 
 from plan_digest import placement_range
 from skypath import planner
@@ -44,8 +42,7 @@ def search_inputs(seeds, k: int):
             continue
         graph = planner.build_refined_graph(base, scn, maps, commons)
         points = graph.xy[planner.shortest_path(graph, 0, graph.node_count - 1)]
-        length = float(np.hypot(*np.diff(points, axis=0).T).sum())
-        inputs.append((scn, maps, commons, length * (1.0 - 1e-12)))
+        inputs.append((scn, maps, commons, planner._search_bound(points)))
     return inputs
 
 

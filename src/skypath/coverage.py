@@ -40,7 +40,8 @@ plus GEOM_EPS); the common borders of all station pairs take one such call
 and stay stacked, pair by pair, in one table (``CommonBorders``).
 ``_slots_clear`` answers (tail, head, map) rows of member slots, numbered by
 that call (``_members``), by every jump of R a segment crosses, from one
-``_radius_steps`` call over the maps' stacked wedges.
+``_radius_steps`` call over the maps' stacked wedges. Both kernels find each
+row's place among stacked per-map angles by one exact (map, angle) key search.
 """
 
 from __future__ import annotations
@@ -305,9 +306,9 @@ class CoverageMap:
     """One station's coverage as wedges around its projection, plus its border.
 
     Wedge i spans the azimuths [starts[i], ends[i]] out to radius radii[i].
-    The wedges are sorted and disjoint: each starts where the one before it
-    ends or later, up to 1e-12 rad of rounding. None wraps past 2*pi, and
-    each spans at most pi, so each is convex.
+    The wedges are sorted and disjoint: each starts no earlier than the one
+    before it, and where that one ends or later, up to 1e-12 rad of rounding.
+    None wraps past 2*pi, and each spans at most pi, so each is convex.
     """
 
     bs_id: int
@@ -329,6 +330,7 @@ class CoverageMap:
             ((self.starts >= 0.0) & (self.ends <= TWO_PI), "wedges must lie in [0, 2*pi]"),
             (self.radii >= 0.0, "wedge radii must be non-negative"),
             (self.starts[1:] >= self.ends[:-1] - 1e-12, "wedges must be sorted and disjoint"),
+            (self.starts[1:] >= self.starts[:-1], "wedge starts must be nondecreasing"),
         ):
             if not ok.all():
                 raise ValueError(f"{what} (station {self.bs_id})")
@@ -348,6 +350,16 @@ class CoverageMap:
         return float(self.radii.max())
 
 
+def _keys(which, angles) -> np.ndarray:
+    """Exact (map, angle) keys: real part ``which``, imaginary part ``angles``,
+    set without arithmetic, so bit for bit. numpy orders complex numbers by
+    real part, then imaginary part, so the keys of each map's nondecreasing
+    angles, stacked map by map, are sorted for ``np.searchsorted``."""
+    key = np.empty(np.shape(angles), dtype=complex)
+    key.real, key.imag = which, angles
+    return key
+
+
 def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> np.ndarray:
     """Membership of the points xy[point[i]] in the closed wedges of
     maps[which[i]], with slack, one row each. With one map and no ``point``
@@ -361,9 +373,9 @@ def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> n
     and only the rows within that reach go on. The wedges are sorted and
     disjoint, so only the wedge bracketing a point's azimuth and its two
     neighbours (for the slack and the 2*pi wrap) can hold it. The bracket is
-    the count of the map's starts <= the azimuth, as ``np.searchsorted`` with
-    side="right" gives it, taken for every row at once by merging the rows'
-    azimuths into the stacked starts, sorted by map, then angle, starts first.
+    the count of the map's starts <= the azimuth, taken for every row at once
+    by one ``np.searchsorted`` (side="right") of the row's (map, azimuth) key
+    among the (map, start) keys of the stacked starts.
     """
     xy = _as_points(points_xy)
     if isinstance(maps, CoverageMap):
@@ -388,13 +400,8 @@ def points_in_coverage(points_xy: np.ndarray, maps, point=None, which=None) -> n
     az = np.where(az < 0.0, az + TWO_PI, az)
     ang_tol = GEOM_EPS / np.maximum(r, GEOM_EPS)
 
-    is_row = np.repeat([False, True], [starts.size, rows.size])
-    order = np.lexsort((is_row, np.concatenate([starts, az]),
-                        np.concatenate([np.repeat(np.arange(len(maps)), counts), which])))
-    at_most = np.cumsum(~is_row[order])  # starts up to each merged position
-    idx = np.empty(rows.size, dtype=int)
-    idx[order[is_row[order]] - starts.size] = at_most[is_row[order]]
-    idx -= first[which] + 1
+    keys = _keys(np.repeat(np.arange(len(maps)), counts), starts)
+    idx = np.searchsorted(keys, _keys(which, az), side="right") - first[which] - 1
     hit = (r <= GEOM_EPS) & (max_radius[which] > 0.0)
     for off in (-1, 0, 1):
         j = first[which] + (idx + off) % counts[which]
@@ -620,30 +627,27 @@ def _radius_steps(starts: np.ndarray, ends: np.ndarray, radii: np.ndarray, count
 
 
 def _jump_table(covs: Sequence[CoverageMap]):
-    """The jumps of R for several maps in one sorted array, from one
-    ``_radius_steps`` call on their stacked wedges.
+    """The jumps of R for several maps, from one ``_radius_steps`` call on
+    their stacked wedges, sorted by their (map, angle) keys (``_keys``).
 
-    Map m's jump angles sit at offset 4*pi*m and are listed twice, the
-    second time shifted by 2*pi, so that a swept azimuth range that wraps
-    past 2*pi is one slice. Returns (angles, cos, sin, before, after), with
-    (R + GEOM_EPS)**2 before and after each jump, membership's squared reach;
-    with no maps, no jumps.
+    Each map's jumps are listed twice, the second time 2*pi on, so that a
+    swept azimuth range that wraps past 2*pi is one slice. Returns (keys,
+    cos, sin, before, after), with (R + GEOM_EPS)**2 before and after each
+    jump, membership's squared reach; with no maps, no jumps.
     """
     wedges = (np.concatenate([np.empty(0), *(getattr(cov, name) for cov in covs)])
               for name in ("starts", "ends", "radii"))
     *steps, counts = _radius_steps(*wedges, [cov.radii.size for cov in covs])
-    # slot k of map m's block: jump k % c_m of the map, shifted when k >= c_m
-    m = np.repeat(np.arange(counts.size), 2 * counts)
-    first, size = (np.repeat(a, 2 * counts) for a in (np.cumsum(counts) - counts, counts))
-    k = np.arange(m.size) - 2 * first
-    jumps, before, after = (a[first + k % size] for a in steps)
-    angles = np.where(k < size, jumps, jumps + TWO_PI) + 2.0 * TWO_PI * m
-    return angles, np.cos(jumps), np.sin(jumps), (before + GEOM_EPS) ** 2, (after + GEOM_EPS) ** 2
+    owner = np.tile(np.repeat(np.arange(counts.size), counts), 2)
+    pick = np.argsort(owner, kind="stable")  # each map's jumps, then the same again
+    jumps, before, after = (np.tile(a, 2)[pick] for a in steps)
+    keys = _keys(owner[pick], np.where(pick < counts.sum(), jumps, jumps + TWO_PI))
+    return keys, np.cos(jumps), np.sin(jumps), (before + GEOM_EPS) ** 2, (after + GEOM_EPS) ** 2
 
 
 # Which nodes lie in which maps, for ``_slots_clear``: slot (maps, nodes) holds
-# each (node, map) pair's slot, -1 when not a member; node, x, y, az and r hold
-# each slot's node and its offset, azimuth and radius about its map's apex.
+# each (node, map) pair's slot, or -1; node, x, y, az and r hold each slot's
+# node and offset, azimuth and radius about its apex; table, ``_jump_table``.
 _Members = namedtuple("_Members", "slot node x y az r table")
 
 
@@ -674,9 +678,10 @@ def _slots_clear(xy: np.ndarray, members: _Members, tail: np.ndarray, head: np.n
     peaks at an end of the piece: the segment is inside iff it is inside R on
     both sides of every jump it crosses. Points within GEOM_EPS of a jump's
     ray count as covered by either side, as in ``points_in_coverage``, so
-    each side is checked where the segment leaves that band.
+    each side is checked where the segment leaves that band. A row's jumps
+    are the slice of ``_jump_table`` between the keys of its padded sweep.
     """
-    angles, cos_j, sin_j, before, after = members.table
+    keys, cos_j, sin_j, before, after = members.table
     u, v = members.node[tail], members.node[head]
     dx, dy = xy[:, 0][v] - xy[:, 0][u], xy[:, 1][v] - xy[:, 1][u]
     ax, ay, bx, by = members.x[tail], members.y[tail], members.x[head], members.y[head]
@@ -691,9 +696,10 @@ def _slots_clear(xy: np.ndarray, members: _Members, tail: np.ndarray, head: np.n
     # an endpoint at radius r reaches the GEOM_EPS band of jumps up to
     # GEOM_EPS / r outside the swept range
     pad = np.minimum(GEOM_EPS / np.maximum(np.minimum(ra, rb), GEOM_EPS), 0.5) + 1e-12
-    lo = np.where(lo < pad, lo + TWO_PI, lo) + 2.0 * TWO_PI * which
-    i0 = np.searchsorted(angles, lo - pad, side="left")
-    count = np.where(radial, 0, np.searchsorted(angles, lo + width + pad, side="right") - i0)
+    lo = np.where(lo < pad, lo + TWO_PI, lo)
+    i0 = np.searchsorted(keys, _keys(which, lo - pad), side="left")
+    count = np.where(radial, 0, np.searchsorted(keys, _keys(which, lo + width + pad),
+                                                side="right") - i0)
 
     ok = np.ones(tail.size, dtype=bool)
     rows = np.flatnonzero(count)

@@ -563,6 +563,12 @@ def _free_search(
     return xy[path[::-1]]
 
 
+def _search_bound(points: np.ndarray) -> float:
+    """``_free_search``'s bound from the refined path's points: the summed legs,
+    less 1e-12 relative, so that a path shorter only by rounding is a tie."""
+    return float(np.hypot(*np.diff(points, axis=0).T).sum()) * (1.0 - 1e-12)
+
+
 def optimize_trajectory(
     base: BaseResult,
     scenario: Scenario,
@@ -584,9 +590,7 @@ def optimize_trajectory(
     if path is None:  # cannot happen: the base path is a subgraph
         raise RuntimeError("refined graph unexpectedly disconnected")
     points = graph.xy[path]
-    refined_length = float(np.hypot(*np.diff(points, axis=0).T).sum())
-    # a path shorter only by rounding is a tie
-    shorter = _free_search(scenario, maps, commons, refined_length * (1.0 - 1e-12))
+    shorter = _free_search(scenario, maps, commons, _search_bound(points))
     if shorter is not None:
         points = shorter
     waypoints = _dedupe_waypoints(points, scenario.radio.uav_altitude)

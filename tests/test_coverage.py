@@ -712,6 +712,7 @@ class TestWedgeArrays:
         ([6.0], [2 * math.pi + 0.1], [10.0]),          # past 2*pi
         ([0.0], [0.5], [-1.0]),                        # negative radius
         ([0.0, 1.0], [0.5], [10.0, 10.0]),             # ragged arrays
+        ([1.0, 1.0 - 4e-13], [1.0 + 5e-13, 2.0], [10.0, 20.0]),  # a start goes down
     ])
     def test_invalid_wedges_rejected(self, starts, ends, radii):
         from skypath.coverage import CoverageMap
@@ -914,11 +915,14 @@ class TestStackedRadiusSteps:
         alone = [_radius_steps(cov.starts, cov.ends, cov.radii, [cov.radii.size]) for cov in maps]
         for i, got in enumerate(stacked):
             assert_bitwise(got, np.concatenate([steps[i] for steps in alone]))
-        # the jump table reads the same steps, each map at its 4*pi offset
+        # the jump table reads the same steps: map m's block of (map, angle)
+        # keys has real part m and its own table's angles, bit for bit
         table = _jump_table(maps)
         per_map = [_jump_table([cov]) for cov in maps]
-        assert_bitwise(table[0], np.concatenate([t[0] + 2.0 * TAU * m
-                                                 for m, t in enumerate(per_map)]))
+        blocks = np.split(table[0], np.cumsum([t[0].size for t in per_map])[:-1])
+        for m, (block, t) in enumerate(zip(blocks, per_map)):
+            assert (block.real == m).all()
+            assert_bitwise(block.imag, t[0].imag)
         for i in range(1, 5):
             assert_bitwise(table[i], np.concatenate([t[i] for t in per_map]))
         return stacked
@@ -935,7 +939,9 @@ class TestStackedRadiusSteps:
 
     def test_no_maps(self):
         """No maps: an empty jump table, and members with no slots."""
-        for column in _jump_table([]):
+        keys, *columns = _jump_table([])
+        assert keys.shape == (0,) and keys.dtype == complex
+        for column in columns:
             assert column.shape == (0,) and column.dtype == float
         none = np.empty(0, dtype=int)
         members = _members(np.zeros((3, 2)), [], none, none)
@@ -952,6 +958,16 @@ class TestStackedRadiusSteps:
         assert not any(hasattr(cov, "radius_steps") for cov in maps)
         hand = self._hand_built()
         self._check(hand[:2] + maps[:12] + hand[2:] + maps[12:])
+
+    def test_built_map_after_a_thousand_empty_maps(self):
+        """A map's block of the table equals its own table at any stack
+        position: a float offset of 4*pi*m would round its angles here."""
+        from skypath.scenario import build_default_scenario
+
+        base = build_default_scenario(seed=1, k=25)
+        cov = build_coverage_maps(base.base_stations[:1], base.city, base.radio)[0]
+        assert cov.radii.size > 0
+        self._check([_wedge_map([], [], [])] * 1000 + [cov])
 
 
 class TestBorderWalkFromArrays:

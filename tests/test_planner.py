@@ -11,6 +11,7 @@ from skypath import coverage, planner
 from skypath.coverage import (
     CoverageMap,
     _members,
+    _segments_clear,
     _slots_clear,
     build_all_coverage,
     build_coverage_map,
@@ -452,9 +453,10 @@ class TestSlotKernel:
     that near-radial segments occur.
     """
 
-    def test_matches_dense_sampling(self, planning_inputs):
+    @staticmethod
+    def _segments(planning_inputs):
+        """(xy, covs, members, tail, head, which) of each default-city case."""
         rng = np.random.default_rng(21)
-        kinds = dict.fromkeys(["gap", "radial", "wrap", "inside", "outside"], 0)
         for scn, maps, commons in planning_inputs[-3:]:
             covs = [maps[k] for k in sorted(maps)][:8]
             covs += [CoverageMap(cov.bs_id, cov.center, *(np.delete(getattr(cov, a), np.s_[::5])
@@ -478,7 +480,11 @@ class TestSlotKernel:
                 tail.append(pairs[:, 0])
                 head.append(pairs[:, 1])
                 which.append(np.full(tail[-2].size + pairs.shape[0], j))
-            tail, head, which = (np.concatenate(a) for a in (tail, head, which))
+            yield (xy, covs, members, *(np.concatenate(a) for a in (tail, head, which)))
+
+    def test_matches_dense_sampling(self, planning_inputs):
+        kinds = dict.fromkeys(["gap", "radial", "wrap", "inside", "outside"], 0)
+        for xy, covs, members, tail, head, which in self._segments(planning_inputs):
             got = _slots_clear(xy, members, tail, head, which)
             for t, h, j, ok in zip(tail, head, which, got.tolist()):
                 a, b, cov = xy[members.node[t]], xy[members.node[h]], covs[j]
@@ -488,6 +494,19 @@ class TestSlotKernel:
                     kinds[kind] += hit
                 kinds["inside" if ok else "outside"] += 1
         assert min(kinds.values()) >= 20, kinds
+
+    def test_same_verdicts_after_a_thousand_empty_maps(self, planning_inputs):
+        """The segments' verdicts do not depend on where their maps sit in
+        the stack: the jump table's (map, angle) keys are exact."""
+        empty = [CoverageMap(0, (0.0, 0.0), [], [], [], np.empty((0, 2)))] * 1000
+        for xy, covs, members, tail, head, which in self._segments(planning_inputs):
+            u, v = members.node[tail], members.node[head]
+            want = _segments_clear(xy, members, u, v, which)
+            far = which + len(empty)
+            ends = np.unique(np.concatenate([far * xy.shape[0] + u, far * xy.shape[0] + v]))
+            moved = _members(xy, empty + covs, ends % xy.shape[0], ends // xy.shape[0])
+            np.testing.assert_array_equal(_segments_clear(xy, moved, u, v, far), want)
+            assert 0 < np.count_nonzero(want) < want.size
 
 
 class TestLineInCoverage:
